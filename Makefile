@@ -1,5 +1,8 @@
 # Convenience targets for the Amber reproduction.
 
+# Run from the checkout without installing the package.
+export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
+
 .PHONY: install test bench perf artifacts examples lint analyze \
 	amber-check check chaos flow elide clean
 
@@ -10,31 +13,30 @@ test:
 	python -m pytest tests/ -q
 
 lint:
-	PYTHONPATH=src python -m repro lint src/repro/apps examples
+	python -m repro lint src/repro/apps examples
 
 analyze:
-	PYTHONPATH=src python -m repro analyze --fast
+	python -m repro analyze --fast
 
 amber-check:
-	PYTHONPATH=src python -m repro check --fast
+	python -m repro check --fast
 
 # AmberFlow: static object-flow analysis + placement-hint
 # cross-validation against simulator runs (docs/ANALYSIS.md).
 flow:
-	PYTHONPATH=src python -m repro flow --fast \
+	python -m repro flow --fast \
 		--expect benchmarks/baseline/FLOW_expected.json
 
 # AmberChaos: seeded live-runtime chaos scenario suite (docs/CHAOS.md).
 chaos:
 	for seed in 0 1 2; do \
-		PYTHONPATH=src python -m repro chaos --fast --seed $$seed || exit 1; \
+		python -m repro chaos --fast --seed $$seed || exit 1; \
 	done
 
-# AmberElide: escape/confinement analysis + verified sync-elision
-# fast paths (docs/ANALYSIS.md).  Add --verify for the full dynamic
-# soundness suite (AmberCheck, bit-identity, perf trajectory).
+# AmberElide: static escape/confinement analysis with advisory
+# findings AMB301-AMB304 (docs/ANALYSIS.md).
 elide:
-	PYTHONPATH=src python -m repro elide --fast
+	python -m repro elide
 
 # The full static + dynamic + model-checking gauntlet.
 check: lint flow elide analyze amber-check
@@ -42,15 +44,15 @@ check: lint flow elide analyze amber-check
 # The paper-figure benchmark suite (simulated results asserted against
 # the paper's shape; pytest-benchmark records regeneration cost).
 bench:
-	PYTHONPATH=src python -m pytest benchmarks/ -q
+	python -m pytest benchmarks/ -q
 
 # AmberPerf: wall-clock benchmark suite + hot-loop self-profile
 # (see docs/PERF.md).  Compare against the committed baseline with
 #   PYTHONPATH=src python -m repro perf --fast \
 #     --baseline benchmarks/baseline/BENCH_baseline.json
 perf:
-	PYTHONPATH=src python -m repro perf --fast
-	PYTHONPATH=src python -m repro perf --profile sor --fast
+	python -m repro perf --fast
+	python -m repro perf --profile sor --fast
 
 artifacts:
 	python -m repro all

@@ -1,4 +1,4 @@
-"""AmberElide: static escape/confinement analysis with verified elision.
+"""AmberElide: static escape/confinement analysis (advisory only).
 
 The pass classifies, on top of the AmberFlow object-flow model
 (:mod:`repro.analyze.flow`):
@@ -8,26 +8,14 @@ The pass classifies, on top of the AmberFlow object-flow model
   ``Fork``/ctor-argument/shared-field boundary),
 * **effectively-immutable classes** — no field writes outside
   ``__init__``, and
-* **elidable lock sites** — ``Lock``/``SpinLock``/``Monitor`` creations
-  whose instances only guard confined or immutable state or are only
+* **single-thread lock sites** — ``Lock``/``SpinLock``/``Monitor``
+  creations whose instances only guard confined state or are only
   reachable from one thread.
 
-The result is a deterministic, sha256-fingerprinted ``amberelide/1``
-artifact (:mod:`repro.analyze.elide.artifact`) that the runtime
-consumes: the sync objects elide uncontended acquire/release of proven
-locks (no scheduler event; simulated time is preserved via the
-thread's surcharge accumulator), the sanitizer skips field
-interposition for proven-confined/immutable classes, and the placement
-hints promote effectively-immutable classes to ``replicate``.
-
-Soundness is *verified*, not assumed — ``repro elide --verify`` runs
-the fixture catalog and the bundled apps with elision active under an
-auditing sanitizer and asserts zero cross-thread traffic on anything
-the analysis elided (any violation is a hard ``AMBELIDE-UNSOUND``
-finding) and bit-identical results with elision on vs. off.  See
+The classification (:mod:`repro.analyze.elide.model`) surfaces as the
+advisory AMB301-AMB304 findings
+(:mod:`repro.analyze.elide.diagnostics`); nothing in the simulator
+consumes it.  ``repro elide`` runs the pass plus two static
+self-checks (:mod:`repro.analyze.elide.scenario`).  See
 docs/ANALYSIS.md.
-
-This ``__init__`` deliberately imports nothing: the simulator's hot
-paths import :mod:`repro.analyze.elide.runtime` (stdlib-only), and
-pulling the analysis machinery in here would tax every simulated run.
 """

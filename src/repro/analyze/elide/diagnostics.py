@@ -1,22 +1,25 @@
-"""AMB3xx: elision diagnostics derived from the classification.
+"""AMB3xx: confinement diagnostics derived from the classification.
 
 Emitted as :class:`~repro.analyze.lint.LintFinding` instances so they
 share the renderer, the JSON shape, and the ``# repro: noqa[...]``
 suppression machinery with the AMB1xx lint and AMB2xx flow passes.
 
+All four are advisory: they describe the program and change nothing
+at run time.
+
 ``AMB301``
-    An elidable lock site: the lock is only reachable from one thread,
-    so its acquire/release pairs will use the elided fast path.
+    A single-thread lock site: the lock is only reachable from one
+    thread, so its acquire/release pairs can never contend.
 ``AMB302``
     An effectively-immutable class invoked across an object boundary
-    that is never ``SetImmutable``-d: marking it unlocks replication
-    (the hint derivation promotes it to ``replicate``).
+    that is never ``SetImmutable``-d: marking it would let the kernel
+    replicate it to the invoking nodes instead of shipping threads.
 ``AMB303``
     An invocation performed while holding a lock whose receiver is
     proven confined or immutable — the guard is redundant.
 ``AMB304``
-    A lock site the analysis could *not* elide, with the escape edge
-    that defeated it (fork crossing, shared flow, untrackable
+    A lock site the analysis could *not* prove single-thread, with the
+    escape edge that defeated it (fork crossing, shared flow, untrackable
     binding).  Informational: it explains the verdict.
 """
 
@@ -28,10 +31,10 @@ from repro.analyze.elide.model import ElideModel, LOCK_CLASSES
 from repro.analyze.lint import LintFinding, filter_noqa
 
 ELIDE_RULES: Dict[str, str] = {
-    "AMB301": "lock only reachable from one thread (elidable)",
+    "AMB301": "lock only reachable from one thread (never contended)",
     "AMB302": "effectively-immutable class never marked SetImmutable",
     "AMB303": "lock-guarded invoke of confined/immutable receiver",
-    "AMB304": "lock escapes its creating thread (kept un-elided)",
+    "AMB304": "lock escapes its creating thread",
 }
 
 _SYNC_METHODS = {"acquire", "release", "enter", "exit", "wait",
@@ -51,12 +54,12 @@ def diagnose(model: ElideModel,
             findings.append(LintFinding(
                 site.path, site.line, "AMB301",
                 f"{site.cls} {site.var!r} (owner {site.owner}) "
-                f"{site.reason}; acquire/release will be elided"))
+                f"{site.reason}; acquire/release can never contend"))
         else:
             findings.append(LintFinding(
                 site.path, site.line, "AMB304",
                 f"{site.cls} {site.var!r} (owner {site.owner}) "
-                f"kept un-elided: {site.reason}"))
+                f"may be contended: {site.reason}"))
 
     immutable = set(model.immutable)
     invoked = flow.invoked_by()

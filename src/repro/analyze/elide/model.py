@@ -33,15 +33,15 @@ three-point confinement lattice per class:
     acquire/release pairs cannot contend.
 
 All facts are conservative: anything the pass cannot prove stays
-unclassified, and the dynamic soundness audit (``repro elide
---verify``) checks the claims against real runs.
+unclassified.  The facts are advisory — they feed the AMB301-AMB304
+findings and change nothing at run time.
 """
 
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from dataclasses import asdict, dataclass, field
+from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.analyze.flow.model import FlowModel, scan_sources
 
@@ -59,7 +59,7 @@ class LockSite:
 
     path: str
     line: int
-    #: Runtime creation context: enclosing class name, or ``<main>``
+    #: Creation context: enclosing class name, or ``<main>``
     #: for module-level functions (the program's main thread).
     owner: str
     #: Source name the lock is bound to (``lock``, ``self.mutex``).
@@ -71,7 +71,7 @@ class LockSite:
 
 @dataclass
 class ElideModel:
-    """The classification result consumed by artifact + diagnostics."""
+    """The classification result consumed by the diagnostics."""
 
     flow: FlowModel
     confined: List[str] = field(default_factory=list)
@@ -80,9 +80,14 @@ class ElideModel:
     shared: Dict[str, str] = field(default_factory=dict)
     lock_sites: List[LockSite] = field(default_factory=list)
 
-    @property
-    def skip_classes(self) -> List[str]:
-        return sorted(set(self.confined) | set(self.immutable))
+    def as_dict(self) -> Dict[str, Any]:
+        """Canonical, sorted classification (no flow model)."""
+        return {
+            "confined": sorted(self.confined),
+            "immutable": sorted(self.immutable),
+            "shared": dict(sorted(self.shared.items())),
+            "locks": [asdict(site) for site in self.lock_sites],
+        }
 
 
 # ---------------------------------------------------------------------------
@@ -506,16 +511,3 @@ def classify(model: FlowModel,
 def classify_sources(sources: Sequence[Tuple[str, str]]) -> ElideModel:
     return classify(scan_sources(sources), sources)
 
-
-def classify_paths(paths: Iterable[str]) -> ElideModel:
-    from pathlib import Path
-
-    sources: List[Tuple[str, str]] = []
-    for path in paths:
-        p = Path(path)
-        if p.is_dir():
-            for child in sorted(p.rglob("*.py")):
-                sources.append((str(child), child.read_text()))
-        elif p.suffix == ".py" and p.exists():
-            sources.append((str(p), p.read_text()))
-    return classify_sources(sources)

@@ -1,65 +1,29 @@
-"""The ``repro elide`` verification suite.
+"""The ``repro elide`` suite.
 
-An elision analysis that is wrong does not produce a bad report — it
-produces a *differently scheduled simulation*, which is far worse.  So
-the suite is built around one invariant: **elision must be
-unobservable** except in host cost and event count.
+Two static self-checks guard the advisory AMB301-AMB304 pass:
 
-* **static self-consistency** — the classification is deterministic
-  (byte-identical ``amberelide/1`` artifact across reruns) and the
-  AMB301-AMB304 catalog fires exactly as specified on the bundled
-  fixtures (including ``# repro: noqa[...]`` suppression);
-* **artifact hygiene** — ``load_artifact`` never raises on truncated,
-  malformed, or unknown-schema files, and a stale artifact silently
-  disables elision (counted, never half-applied);
-* **hint promotion** — classes AmberElide proves effectively immutable
-  are promoted to ``replicate`` placement hints even when AmberFlow
-  saw no foreign traffic;
-* **soundness audit** — every runnable fixture executes under an
-  auditing sanitizer with elision active in audit mode (interposition
-  fully installed): any cross-thread touch of a claimed-confined
-  object, any post-construction write to a claimed-immutable class,
-  and any cross-thread acquire of an elision-marked lock is a hard
-  ``AMBELIDE-UNSOUND`` finding.  A deliberately unsound elision set is
-  also run to prove the auditor has teeth;
-* **``--verify``** adds: bounded AmberCheck exploration with elision
-  active, bit-identical results/elapsed (fixtures and the AmberPerf
-  macro apps) between elision on and off, elision-effectiveness
-  counters (``lock_elided_total`` > 0, ``lock_elide_bailout_total``
-  == 0), and the perf trajectory against the committed bench baseline.
+* **deterministic-analysis** — every fixture corpus and the analyzed
+  paths are classified twice; the sorted classification and the
+  findings must serialize byte-identically;
+* **fixture-catalog** — the classification and the AMB3xx findings
+  match each catalog entry exactly (including ``# repro: noqa[...]``
+  suppression).
 """
 
 from __future__ import annotations
 
 import json
-import tempfile
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.analyze.elide import runtime as _ert
-from repro.analyze.elide.artifact import (
-    ELIDE_SCHEMA,
-    ElideArtifact,
-    build_artifact,
-    load_artifact,
-)
 from repro.analyze.elide.diagnostics import diagnose
-from repro.analyze.elide.fixtures import FIXTURES, ElideFixture
-from repro.analyze.elide.model import classify_sources
+from repro.analyze.elide.fixtures import FIXTURES
+from repro.analyze.elide.model import ElideModel, classify_sources
+from repro.analyze.flow.scenario import collect_sources
 from repro.analyze.lint import LintFinding
 
 #: What ``repro elide`` analyzes when no paths are given.
 DEFAULT_PATHS = ("src/repro/apps", "examples")
-
-#: The AmberPerf macro benchmarks the perf-trajectory outcome gates on.
-MACRO_BENCHES = ("sor_sim", "queens_sim", "matmul_sim")
-
-#: Committed bench baseline the elision-active suite is compared to.
-BASELINE_BENCH = "benchmarks/baseline/BENCH_baseline.json"
-
-#: Improvement/regression bar for the perf trajectory (fractional).
-PERF_THRESHOLD = 0.10
 
 
 # ---------------------------------------------------------------------------
@@ -85,47 +49,51 @@ class ElideOutcome:
         return f"  [{mark}] {self.name}{body}"
 
 
+def findings_payload(findings: Sequence[LintFinding]
+                     ) -> List[Dict[str, Any]]:
+    return [{"path": f.path, "line": f.line, "rule": f.rule,
+             "message": f.message} for f in findings]
+
+
+def single_thread_owners(model: ElideModel) -> List[Tuple[str, str]]:
+    """Sorted ``(owner, lock_cls)`` pairs of single-thread lock sites."""
+    return sorted({(site.owner, site.cls) for site in model.lock_sites
+                   if site.elidable})
+
+
 @dataclass
 class ElideReport:
     """Everything ``repro elide`` produced in one run."""
 
     outcomes: List[ElideOutcome]
-    artifact: ElideArtifact
+    model: ElideModel
     findings: List[LintFinding]
     paths: List[str]
-    verify: bool
-    #: Bench document of the perf-trajectory run (``--verify`` only).
-    bench: Optional[Dict[str, Any]] = None
 
     @property
     def ok(self) -> bool:
         return all(outcome.ok for outcome in self.outcomes)
 
-    def findings_payload(self) -> List[Dict[str, Any]]:
-        return [{"path": f.path, "line": f.line, "rule": f.rule,
-                 "message": f.message} for f in self.findings]
-
     def as_dict(self) -> Dict[str, Any]:
         return {
-            "schema": "amberelide-report/1",
+            "schema": "amberelide-report/2",
             "ok": self.ok,
             "paths": list(self.paths),
-            "verify": self.verify,
             "outcomes": [o.as_dict() for o in self.outcomes],
-            "artifact": self.artifact.as_dict(),
-            "findings": self.findings_payload(),
+            "classification": self.model.as_dict(),
+            "findings": findings_payload(self.findings),
         }
 
     def render(self) -> str:
         lines = [f"AmberElide over {', '.join(self.paths)}:"]
         lines.append(f"  confined: "
-                     f"{', '.join(self.artifact.confined) or '(none)'}")
+                     f"{', '.join(self.model.confined) or '(none)'}")
         lines.append(f"  immutable: "
-                     f"{', '.join(self.artifact.immutable) or '(none)'}")
-        elidable = [f"{owner}/{cls}"
-                    for owner, cls in self.artifact.lock_owners]
-        lines.append(f"  elidable lock owners: "
-                     f"{', '.join(elidable) or '(none)'}")
+                     f"{', '.join(self.model.immutable) or '(none)'}")
+        owners = [f"{owner}/{cls}"
+                  for owner, cls in single_thread_owners(self.model)]
+        lines.append(f"  single-thread locks: "
+                     f"{', '.join(owners) or '(none)'}")
         for finding in self.findings:
             lines.append(f"  {finding.path}:{finding.line} "
                          f"{finding.rule} {finding.message}")
@@ -140,189 +108,33 @@ class ElideReport:
 
 
 # ---------------------------------------------------------------------------
-# Running programs under (and without) elision
+# Scenarios
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _RunRecord:
-    """The observables one program run is compared on."""
-
-    value: str          # repr of the main thread's result
-    elapsed_us: float
-    events: int
-    elided: int
-    bailouts: int
-
-    def core(self) -> Tuple[str, float]:
-        """The bits elision must never change."""
-        return (self.value, self.elapsed_us)
-
-
-def _plain_run(fx: ElideFixture) -> _RunRecord:
-    from repro.sim.cluster import ClusterConfig
-    from repro.sim.program import AmberProgram
-
-    config = ClusterConfig(nodes=fx.nodes,
-                           cpus_per_node=fx.cpus_per_node)
-    result = AmberProgram(config).run(fx.load_main())
-    counters = result.cluster.metrics.counters
-    elided = counters.get("lock_elided_total")
-    bailed = counters.get("lock_elide_bailout_total")
-    return _RunRecord(
-        value=repr(result.value),
-        elapsed_us=result.elapsed_us,
-        events=result.cluster.sim.events_run,
-        elided=elided.value if elided else 0,
-        bailouts=bailed.value if bailed else 0)
-
-
-def _activated(fx: ElideFixture, audit: bool = False) -> ElideArtifact:
-    """Classify ``fx`` and activate its artifact (caller deactivates)."""
-    emodel = classify_sources(fx.sources())
-    artifact = build_artifact(emodel, fx.sources())
-    if not artifact.activate(source_texts=dict(fx.sources()),
-                             audit=audit):
-        raise RuntimeError(f"fixture artifact unexpectedly stale: "
-                           f"{fx.name}")
-    return artifact
-
-
-# ---------------------------------------------------------------------------
-# The auditing sanitizer
-# ---------------------------------------------------------------------------
-
-
-def _make_audit_sanitizer() -> Any:
-    """An AmberSan subclass that additionally cross-checks the *active
-    elision set's claims* against the observed run:
-
-    * a claimed-confined object touched by a second thread,
-    * a post-construction write to a claimed-immutable class,
-    * an elision-marked lock acquired by a second thread
-
-    each raise a hard ``AMBELIDE-UNSOUND`` finding.  Built lazily so
-    importing this module never drags the sanitizer in."""
-    from repro.analyze.sanitizer import Finding, Sanitizer
-
-    class _AuditSanitizer(Sanitizer):
-        def __init__(self) -> None:
-            super().__init__()
-            active = _ert.active()
-            self._au_confined = (active.confined if active
-                                 else frozenset())
-            self._au_immutable = (active.immutable if active
-                                  else frozenset())
-            #: vaddr -> tid of the first toucher (confined claim).
-            self._au_first: Dict[int, int] = {}
-            #: lock id() -> tid of the first acquirer (lock claim).
-            self._au_lock_first: Dict[int, int] = {}
-
-        def _unsound(self, obj: Any, vaddr: int, name: str,
-                     message: str, frame: Any = None) -> None:
-            thread, _, op = self._current[-1] if self._current \
-                else (None, 0, "?")
-            site = (self._site(frame, op, thread)
-                    if thread is not None else None)
-            self._report(Finding(
-                rule="AMBELIDE-UNSOUND",
-                obj_cls=type(obj).__name__, obj_vaddr=vaddr,
-                field=name, message=message, site=site))
-
-        def _record_access(self, obj: Any, obj_dict: Dict[str, Any],
-                           vaddr: int, name: str, is_write: bool,
-                           frame: Any) -> None:
-            cls = type(obj).__name__
-            if self._current:
-                tid = self._current[-1][0].tid
-                if cls in self._au_confined:
-                    first = self._au_first.setdefault(vaddr, tid)
-                    if first != tid:
-                        self._unsound(
-                            obj, vaddr, name,
-                            f"claimed-confined {cls} {vaddr:#x} "
-                            f"touched by threads {first} and {tid}",
-                            frame)
-                if is_write and cls in self._au_immutable:
-                    self._unsound(
-                        obj, vaddr, name,
-                        f"claimed-immutable {cls} {vaddr:#x} field "
-                        f"{name!r} written after construction", frame)
-            super()._record_access(obj, obj_dict, vaddr, name,
-                                   is_write, frame)
-
-        def on_acquire(self, sync_obj: Any, thread: Any,
-                       order: bool = True) -> None:
-            if getattr(sync_obj, "_elide_ok", False):
-                first = self._au_lock_first.setdefault(
-                    id(sync_obj), thread.tid)
-                if first != thread.tid:
-                    self._report(Finding(
-                        rule="AMBELIDE-UNSOUND",
-                        obj_cls=type(sync_obj).__name__,
-                        obj_vaddr=sync_obj.vaddr, field="<lock>",
-                        message=(
-                            f"elision-marked "
-                            f"{type(sync_obj).__name__} "
-                            f"{sync_obj.vaddr:#x} acquired by threads "
-                            f"{first} and {thread.tid}"),
-                        site=None))
-            super().on_acquire(sync_obj, thread, order=order)
-
-    return _AuditSanitizer()
-
-
-def _audit_run(fx: ElideFixture) -> Tuple[_RunRecord, List[Any]]:
-    """Run ``fx`` sanitized under the auditing sanitizer; the caller
-    has already activated an elision set (audit mode)."""
-    from repro.analyze import runtime as _rt
-    from repro.sim.cluster import ClusterConfig
-    from repro.sim.program import AmberProgram
-
-    config = ClusterConfig(nodes=fx.nodes,
-                           cpus_per_node=fx.cpus_per_node)
-    _rt.set_sanitizer_factory(_make_audit_sanitizer)
-    try:
-        with _rt.sanitize_runs() as sanitizers:
-            result = AmberProgram(config, sanitize=True).run(
-                fx.load_main())
-    finally:
-        _rt.set_sanitizer_factory(None)
-    findings = [f for s in sanitizers for f in s.report().findings]
-    counters = result.cluster.metrics.counters
-    elided = counters.get("lock_elided_total")
-    bailed = counters.get("lock_elide_bailout_total")
-    record = _RunRecord(
-        value=repr(result.value),
-        elapsed_us=result.elapsed_us,
-        events=result.cluster.sim.events_run,
-        elided=elided.value if elided else 0,
-        bailouts=bailed.value if bailed else 0)
-    return record, findings
-
-
-# ---------------------------------------------------------------------------
-# Static scenarios
-# ---------------------------------------------------------------------------
+def _analysis_json(corpus: Sequence[Tuple[str, str]]) -> str:
+    """Canonical JSON of one corpus's classification and findings."""
+    model = classify_sources(corpus)
+    return json.dumps(
+        {"classification": model.as_dict(),
+         "findings": findings_payload(diagnose(model, corpus))},
+        sort_keys=True, separators=(",", ":"))
 
 
 def _outcome_deterministic(
         sources: Sequence[Tuple[str, str]]) -> ElideOutcome:
-    """Scan everything twice; artifacts must be byte-identical."""
+    """Scan everything twice; the results must be byte-identical."""
     corpora: List[Tuple[str, List[Tuple[str, str]]]] = [
         (fx.name, fx.sources()) for fx in FIXTURES.values()]
     corpora.append(("analyzed-paths", list(sources)))
     details: List[str] = []
     ok = True
     for name, corpus in corpora:
-        first = build_artifact(classify_sources(corpus), corpus)
-        second = build_artifact(classify_sources(corpus), corpus)
-        if first.to_json() != second.to_json() or \
-                first.fingerprint != second.fingerprint:
+        if _analysis_json(corpus) != _analysis_json(corpus):
             ok = False
-            details.append(f"{name}: rerun artifact differs")
+            details.append(f"{name}: rerun analysis differs")
     details.append(f"{len(corpora)} corpora scanned twice, "
-                   f"byte-identical artifacts")
+                   f"byte-identical classification and findings")
     return ElideOutcome("deterministic-analysis", ok, details)
 
 
@@ -332,7 +144,6 @@ def _outcome_fixture_catalog() -> ElideOutcome:
     ok = True
     for fx in FIXTURES.values():
         emodel = classify_sources(fx.sources())
-        artifact = build_artifact(emodel, fx.sources())
         findings = diagnose(emodel, fx.sources())
         got_rules = tuple(sorted(f.rule for f in findings))
         checks = [
@@ -341,7 +152,7 @@ def _outcome_fixture_catalog() -> ElideOutcome:
              tuple(sorted(fx.confined))),
             ("immutable", tuple(sorted(emodel.immutable)),
              tuple(sorted(fx.immutable))),
-            ("lock-owners", tuple(artifact.lock_owners),
+            ("single-thread-locks", tuple(single_thread_owners(emodel)),
              tuple(sorted(fx.elidable_owners))),
         ]
         bad = [f"{what}: got {got!r}, want {want!r}"
@@ -355,401 +166,21 @@ def _outcome_fixture_catalog() -> ElideOutcome:
     return ElideOutcome("fixture-catalog", ok, details)
 
 
-def _outcome_artifact_roundtrip(artifact: ElideArtifact) -> ElideOutcome:
-    """Serialization invariants: load never raises, stale never
-    activates (and is counted)."""
-    details: List[str] = []
-    ok = True
-
-    with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "elide.json"
-        path.write_text(artifact.to_json())
-        loaded = load_artifact(str(path))
-        if not loaded.valid or \
-                loaded.fingerprint != artifact.fingerprint:
-            ok = False
-            details.append("roundtrip changed the fingerprint")
-        else:
-            details.append("json roundtrip preserves the fingerprint")
-
-        hostile = {
-            "truncated": artifact.to_json()[:37],
-            "malformed": "[1, 2, 3]\n",
-            "binary": "\x00\x01\x02",
-            "unknown-schema": json.dumps(
-                {"schema": "amberelide/99", "confined": ["X"]}),
-        }
-        for name, text in hostile.items():
-            path.write_text(text)
-            try:
-                bad = load_artifact(str(path))
-            except Exception as error:   # pragma: no cover - the bug
-                ok = False
-                details.append(f"{name}: load raised {error!r}")
-                continue
-            if bad.valid:
-                ok = False
-                details.append(f"{name}: loaded as valid")
-        path.unlink()
-        missing = load_artifact(str(path))
-        if missing.valid:
-            ok = False
-            details.append("missing file loaded as valid")
-        details.append(f"{len(hostile) + 1} hostile loads, "
-                       f"none raised, none valid")
-
-    # Staleness: a changed source refuses activation and is counted.
-    fx = FIXTURES["confined-counter"]
-    art = build_artifact(classify_sources(fx.sources()), fx.sources())
-    before = _ert.STALE_DISABLES
-    activated = art.activate(
-        source_texts={fx.path: fx.source + "\n# drifted\n"})
-    if activated or _ert.active() is not None:
-        ok = False
-        details.append("stale artifact activated")
-        _ert.deactivate()
-    if _ert.STALE_DISABLES != before + 1:
-        ok = False
-        details.append("stale disable was not counted")
-    else:
-        details.append("stale artifact refused and counted "
-                       f"(STALE_DISABLES={_ert.STALE_DISABLES})")
-    invalid = ElideArtifact(schema="amberelide/99")
-    if invalid.activate() or _ert.active() is not None:
-        ok = False
-        details.append("invalid-schema artifact activated")
-        _ert.deactivate()
-    return ElideOutcome("artifact-roundtrip", ok, details)
-
-
-#: Analysis-only source proving the hint promotion adds information:
-#: ``Settings`` has no cross-object callers, so AmberFlow alone derives
-#: no ``replicate`` hint — AmberElide's immutability proof does.
-_PROMOTION_SOURCE = '''\
-from repro.sim import SimObject
-from repro.sim.syscalls import Charge, Invoke, New
-
-
-class Settings(SimObject):
-    def __init__(self, depth: int) -> None:
-        self.depth = depth
-
-    def limit(self, ctx):
-        yield Charge(1.0)
-        return self.depth * 2
-
-
-def main(ctx):
-    settings = yield New(Settings, 4)
-    value = yield Invoke(settings, "limit")
-    return value
-'''
-
-
-def _outcome_hint_promotion() -> ElideOutcome:
-    """AmberElide-immutable classes become ``replicate`` hints."""
-    from repro.analyze.flow.hints import derive_hints
-    from repro.analyze.flow.model import scan_sources
-
-    details: List[str] = []
-    ok = True
-    sources = [("<fixture:promotion>", _PROMOTION_SOURCE)]
-    flow = scan_sources(sources)
-    emodel = classify_sources(sources)
-    if "Settings" not in emodel.immutable:
-        ok = False
-        details.append("Settings not classified immutable")
-    plain = {h.cls for h in derive_hints(flow).hints
-             if h.kind == "replicate"}
-    promoted = {h.cls for h in
-                derive_hints(flow,
-                             extra_immutable=emodel.immutable).hints
-                if h.kind == "replicate"}
-    if "Settings" in plain:
-        ok = False
-        details.append("flow alone already replicated Settings "
-                       "(fixture lost its point)")
-    if "Settings" not in promoted:
-        ok = False
-        details.append("promotion did not add the replicate hint")
-    else:
-        details.append("Settings: no flow hint -> replicate hint "
-                       "via extra_immutable")
-
-    # Promotion must respect spread: a fork-target class proven
-    # immutable still must not be replicated.
-    fx = FIXTURES["immutable-table"]
-    tflow = scan_sources(fx.sources())
-    tmodel = classify_sources(fx.sources())
-    table_hints = derive_hints(
-        tflow, extra_immutable=tmodel.immutable).hints
-    if any(h.kind == "replicate" and h.cls == "TableReader"
-           for h in table_hints):
-        ok = False
-        details.append("spread class TableReader was replicated")
-    if not any(h.kind == "replicate" and h.cls == "SumTable"
-               for h in table_hints):
-        ok = False
-        details.append("SumTable lost its replicate hint")
-    else:
-        details.append("SumTable replicated, spread TableReader not")
-    return ElideOutcome("hint-promotion", ok, details)
-
-
-# ---------------------------------------------------------------------------
-# Dynamic scenarios
-# ---------------------------------------------------------------------------
-
-
-def _outcome_soundness_audit() -> ElideOutcome:
-    """Audit-mode runs observe every access; claims must hold — and a
-    deliberately unsound set must be *caught*."""
-    details: List[str] = []
-    ok = True
-    runnable = [fx for fx in FIXTURES.values() if fx.runnable]
-    for fx in runnable:
-        _activated(fx, audit=True)
-        try:
-            record, findings = _audit_run(fx)
-        finally:
-            _ert.deactivate()
-        unsound = [f for f in findings
-                   if f.rule == "AMBELIDE-UNSOUND"]
-        problems: List[str] = []
-        if findings:
-            problems.append(
-                f"{len(findings)} sanitizer finding(s), "
-                f"{len(unsound)} unsound")
-        if record.value != repr(fx.expect_result):
-            problems.append(f"result {record.value}")
-        if record.bailouts:
-            problems.append(f"{record.bailouts} elision bailout(s)")
-        if fx.expect_elided and record.elided == 0:
-            problems.append("nothing elided")
-        if not fx.expect_elided and record.elided != 0:
-            problems.append(f"{record.elided} unexpected elisions")
-        if problems:
-            ok = False
-            details.append(f"{fx.name}: " + "; ".join(problems))
-        else:
-            details.append(f"{fx.name}: clean audit, "
-                           f"{record.elided} op(s) elided")
-
-    # Teeth check: claim the shared pool confined and its gate
-    # elidable; the audit must produce AMBELIDE-UNSOUND findings.
-    fx = FIXTURES["shared-pool"]
-    _ert.activate(_ert.ElideSet(
-        skip_classes=frozenset({"JobPool"}),
-        lock_owners=frozenset({(_ert.MAIN_OWNER, "Lock")}),
-        confined=frozenset({"JobPool"}),
-        immutable=frozenset(),
-        fingerprint="deliberately-unsound"), audit=True)
-    try:
-        record, findings = _audit_run(fx)
-    finally:
-        _ert.deactivate()
-    caught = [f for f in findings if f.rule == "AMBELIDE-UNSOUND"]
-    if not caught:
-        ok = False
-        details.append("unsound control set produced no "
-                       "AMBELIDE-UNSOUND finding")
-    else:
-        details.append(f"unsound control set caught: "
-                       f"{len(caught)} AMBELIDE-UNSOUND finding(s)")
-    return ElideOutcome("soundness-audit", ok, details)
-
-
-def _outcome_schedule_audit() -> ElideOutcome:
-    """Bounded AmberCheck exploration with elision active (audit
-    mode): every explored schedule must stay clean and converge."""
-    from repro.analyze.check import check_program
-    from repro.sim.cluster import ClusterConfig
-    from repro.sim.program import AmberProgram
-
-    details: List[str] = []
-    ok = True
-    for name in ("confined-counter", "scratch-workers"):
-        fx = FIXTURES[name]
-        config = ClusterConfig(nodes=fx.nodes,
-                               cpus_per_node=fx.cpus_per_node)
-        main = fx.load_main()
-
-        def program() -> Any:
-            return AmberProgram(config, sanitize=True).run(main)
-
-        _activated(fx, audit=True)
-        try:
-            report = check_program(program, name=f"elide:{name}",
-                                   budget=64)
-        finally:
-            _ert.deactivate()
-        if not report.ok:
-            ok = False
-            details.append(
-                f"{name}: {len(report.findings)} finding(s) over "
-                f"{report.schedules} schedule(s)")
-        else:
-            details.append(f"{name}: {report.schedules} schedule(s) "
-                           f"explored, clean")
-    return ElideOutcome("schedule-audit", ok, details)
-
-
-def _outcome_bit_identical(fast: bool) -> ElideOutcome:
-    """Elision on vs. off: results and simulated elapsed bit-identical,
-    runs deterministic per mode, and elision never adds events — on the
-    fixtures and on the AmberPerf macro apps."""
-    from repro.perf import harness as _harness
-
-    details: List[str] = []
-    ok = True
-    for fx in (fx for fx in FIXTURES.values() if fx.runnable):
-        off = [_plain_run(fx), _plain_run(fx)]
-        _activated(fx)
-        try:
-            on = [_plain_run(fx), _plain_run(fx)]
-        finally:
-            _ert.deactivate()
-        problems: List[str] = []
-        if off[0] != off[1] or on[0] != on[1]:
-            problems.append("nondeterministic")
-        if off[0].core() != on[0].core():
-            problems.append(
-                f"off={off[0].core()} on={on[0].core()}")
-        if on[0].events > off[0].events:
-            problems.append(f"events grew {off[0].events} -> "
-                            f"{on[0].events}")
-        if fx.expect_elided and on[0].events >= off[0].events:
-            problems.append("no event was elided")
-        if on[0].bailouts:
-            problems.append(f"{on[0].bailouts} bailout(s)")
-        if problems:
-            ok = False
-            details.append(f"{fx.name}: " + "; ".join(problems))
-        else:
-            details.append(
-                f"{fx.name}: bit-identical, events "
-                f"{off[0].events} -> {on[0].events}, "
-                f"{on[0].elided} op(s) elided")
-
-    apps_artifact = _analyze_paths_artifact(["src/repro/apps"])
-    benches = {
-        "sor_sim": _harness._bench_sor_sim,
-        "queens_sim": _harness._bench_queens_sim,
-        "matmul_sim": _harness._bench_matmul_sim,
-    }
-    for name, bench in benches.items():
-        off_runs = [bench(fast).fingerprint for _ in range(2)]
-        if not apps_artifact.activate():
-            ok = False
-            details.append(f"{name}: apps artifact stale on disk")
-            continue
-        try:
-            on_runs = [bench(fast).fingerprint for _ in range(2)]
-        finally:
-            _ert.deactivate()
-        if len(set(off_runs)) != 1 or len(set(on_runs)) != 1:
-            ok = False
-            details.append(f"{name}: nondeterministic fingerprints")
-        elif off_runs[0] != on_runs[0]:
-            ok = False
-            details.append(f"{name}: fingerprint {off_runs[0]} -> "
-                           f"{on_runs[0]}")
-        else:
-            details.append(f"{name}: fingerprint {on_runs[0]} "
-                           f"identical with elision active")
-    return ElideOutcome("bit-identical", ok, details)
-
-
-def _analyze_paths_artifact(paths: Sequence[str]) -> ElideArtifact:
-    sources = _read_sources(paths)
-    return build_artifact(classify_sources(sources), sources)
-
-
-def _outcome_perf_trajectory(fast: bool,
-                             report: ElideReport) -> ElideOutcome:
-    """With elision active, the macro suite must beat the committed
-    baseline on at least one benchmark (and regress on none)."""
-    from repro.perf.benchfile import (bench_dict, compare_benches,
-                                      load_bench)
-    from repro.perf.harness import run_suite
-
-    details: List[str] = []
-    baseline_path = Path(BASELINE_BENCH)
-    if not baseline_path.exists():
-        return ElideOutcome(
-            "perf-trajectory", False,
-            [f"missing baseline {BASELINE_BENCH}"])
-    apps_artifact = _analyze_paths_artifact(["src/repro/apps"])
-    if not apps_artifact.activate():
-        return ElideOutcome("perf-trajectory", False,
-                            ["apps artifact stale on disk"])
-    try:
-        suite = run_suite(fast=fast, reps=3, warmup=1,
-                          only=["calibration", *MACRO_BENCHES])
-    finally:
-        _ert.deactivate()
-    doc = bench_dict(suite)
-    report.bench = doc
-    result = compare_benches(load_bench(str(baseline_path)), doc,
-                             threshold=PERF_THRESHOLD)
-    macro = [d for d in result.deltas if d.name in MACRO_BENCHES]
-    improved = [d for d in macro if d.improvement]
-    regressed = [d for d in macro if d.regression]
-    for delta in macro:
-        verdict = ("improved" if delta.improvement else
-                   "regressed" if delta.regression else "flat")
-        details.append(
-            f"{delta.name}: x{delta.ratio:.2f} vs baseline "
-            f"(noise {delta.noise:.1%}) — {verdict}")
-    ok = bool(improved) and not regressed
-    if not improved:
-        details.append(
-            f"no macro benchmark improved beyond "
-            f"1 + max({PERF_THRESHOLD:.0%}, noise)")
-    return ElideOutcome("perf-trajectory", ok, details)
-
-
 # ---------------------------------------------------------------------------
 # Entry point
 # ---------------------------------------------------------------------------
 
 
-def _read_sources(paths: Sequence[str]) -> List[Tuple[str, str]]:
-    sources: List[Tuple[str, str]] = []
-    for path in paths:
-        p = Path(path)
-        if p.is_dir():
-            for child in sorted(p.rglob("*.py")):
-                sources.append((str(child), child.read_text()))
-        elif p.suffix == ".py" and p.exists():
-            sources.append((str(p), p.read_text()))
-    return sources
-
-
-def run_elide_scenarios(paths: Optional[Sequence[str]] = None,
-                        fast: bool = False,
-                        verify: bool = False) -> ElideReport:
-    """Run the (static, and with ``verify`` also dynamic) suite."""
-    if _ert.active() is not None:   # hygiene: never run nested
-        _ert.deactivate()
+def run_elide_scenarios(paths: Optional[Sequence[str]] = None
+                        ) -> ElideReport:
+    """Classify ``paths`` and run the static suite."""
     used_paths = [str(p) for p in (paths or DEFAULT_PATHS)]
-    sources = _read_sources(used_paths)
+    sources = collect_sources(used_paths)
     emodel = classify_sources(sources)
-    artifact = build_artifact(emodel, sources)
-    findings = diagnose(emodel, sources)
-
     outcomes = [
         _outcome_deterministic(sources),
         _outcome_fixture_catalog(),
-        _outcome_artifact_roundtrip(artifact),
-        _outcome_hint_promotion(),
-        _outcome_soundness_audit(),
     ]
-    report = ElideReport(outcomes=outcomes, artifact=artifact,
-                         findings=findings, paths=used_paths,
-                         verify=verify)
-    if verify:
-        outcomes.append(_outcome_schedule_audit())
-        outcomes.append(_outcome_bit_identical(fast))
-        outcomes.append(_outcome_perf_trajectory(fast, report))
-    return report
+    return ElideReport(outcomes=outcomes, model=emodel,
+                       findings=diagnose(emodel, sources),
+                       paths=used_paths)

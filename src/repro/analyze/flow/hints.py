@@ -30,8 +30,7 @@ import hashlib
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import (Any, Dict, Iterable, List, Mapping, Optional,
-                    Sequence, Union)
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Union
 
 from repro.analyze.flow.model import FlowModel
 
@@ -176,16 +175,9 @@ def load_hints(source: Union[str, Path, Mapping[str, Any]]
 
 
 def derive_hints(model: FlowModel,
-                 sources: Optional[Sequence[str]] = None,
-                 extra_immutable: Iterable[str] = ()
+                 sources: Optional[Sequence[str]] = None
                  ) -> PlacementHints:
-    """Derive the deterministic hint set from a flow model.
-
-    ``extra_immutable`` names classes some *other* analysis (AmberElide)
-    proved effectively immutable; they are promoted to ``replicate``
-    even without observed foreign traffic — immutability alone makes
-    replica caching safe.
-    """
+    """Derive the deterministic hint set from a flow model."""
     hints: List[Hint] = []
     spread = model.spread_classes()
     affine = model.self_affine_classes()
@@ -244,20 +236,6 @@ def derive_hints(model: FlowModel,
                          + ") invoked only by " + caller
                          + "; MoveTo its node",
                 weight=total))
-
-    replicated = {h.cls for h in hints if h.kind == "replicate"}
-    for cls in sorted(set(extra_immutable)):
-        if cls in replicated or cls in spread \
-                or cls not in instantiated:
-            continue
-        callers = {c: w for c, w in invoked.get(cls, {}).items()
-                   if c != cls}
-        hints.append(Hint(
-            kind="replicate", cls=cls,
-            evidence="effectively immutable per AmberElide "
-                     "(no field writes outside __init__, no foreign "
-                     "writes); safe to replicate",
-            weight=sum(callers.values())))
 
     hints.sort(key=lambda h: (_KIND_ORDER.get(h.kind, 9),
                               h.cls, h.with_cls))

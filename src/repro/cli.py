@@ -435,18 +435,8 @@ def _cmd_elide(args) -> int:
 
     from repro.analyze.elide.scenario import run_elide_scenarios
 
-    report = run_elide_scenarios(paths=args.paths, fast=args.fast,
-                                 verify=args.verify)
+    report = run_elide_scenarios(paths=args.paths)
     print(report.render())
-    if args.artifact_out:
-        with open(args.artifact_out, "w") as handle:
-            handle.write(report.artifact.to_json())
-        print(f"\nelision artifact written to {args.artifact_out}")
-    if args.bench_out and report.bench is not None:
-        with open(args.bench_out, "w") as handle:
-            json.dump(report.bench, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        print(f"\nelision-active bench written to {args.bench_out}")
     if args.json:
         with open(args.json, "w") as handle:
             json.dump(report.as_dict(), handle, indent=2)
@@ -656,27 +646,11 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     ep = sub.add_parser("elide",
                         help="AmberElide: static escape/confinement "
-                             "analysis (AMB301-AMB304); proves locks "
-                             "elidable and interposition skippable, "
-                             "and verifies the elision fast paths "
-                             "change nothing observable "
-                             "(docs/ANALYSIS.md)")
-    ep.add_argument("--fast", action="store_true",
-                    help="smaller app runs for the dynamic scenarios "
-                         "(CI smoke)")
+                             "analysis with advisory findings "
+                             "AMB301-AMB304 (docs/ANALYSIS.md)")
     ep.add_argument("--paths", nargs="*", default=None,
                     help="analyze these files/directories instead of "
                          "the bundled apps+examples")
-    ep.add_argument("--verify", action="store_true",
-                    help="also run the dynamic soundness suite: "
-                         "AmberCheck + audit-sanitizer runs, "
-                         "elision-on vs. off bit-identity, and the "
-                         "perf trajectory")
-    ep.add_argument("--artifact-out", metavar="PATH", default=None,
-                    help="write the amberelide/1 artifact as JSON")
-    ep.add_argument("--bench-out", metavar="PATH", default=None,
-                    help="with --verify: write the elision-active "
-                         "bench document as JSON")
     ep.add_argument("--json", metavar="PATH", default=None,
                     help="dump the full report as JSON")
 

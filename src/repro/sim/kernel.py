@@ -57,7 +57,6 @@ from repro.recovery.checkpoint import (
 from repro.recovery.detector import HeartbeatDetector
 from repro.recovery.replay import ReplayEntry
 from repro.sim import syscalls as sc
-from repro.analyze.elide import runtime as _ert
 from repro.sim.cluster import SimCluster
 from repro.sim.engine import NS_PER_US
 from repro.sim.node import Cpu, SimNode
@@ -1049,14 +1048,8 @@ class AmberKernel:
     def _invoke_entry(self, thread: SimThread, request: sc.Invoke) -> None:
         node = self.cluster.nodes[thread.location]
         vaddr = request.target.vaddr
-        # AmberElide: proven-confined/immutable targets skip the
-        # access-log update — its only consumers (affinity rebalancing,
-        # flow evidence) never see elided runs, and a confined object's
-        # log would be a single-node row anyway.
-        skip = _ert.SKIP
-        if not skip or type(request.target).__name__ not in skip:
-            log = self.cluster.access_log.setdefault(vaddr, {})
-            log[node.id] = log.get(node.id, 0) + 1
+        log = self.cluster.access_log.setdefault(vaddr, {})
+        log[node.id] = log.get(node.id, 0) + 1
         if node.descriptors.is_resident(vaddr):
             node.stats.local_invocations += 1
             if not request.target.immutable and self._recovering() \
@@ -1144,14 +1137,6 @@ class AmberKernel:
         else:
             # Atomic operation: completed instantly; its return still
             # pops the (implicit) frame and pays the return-check cost.
-            # An elided sync op deposits its nominal SYNC_OP_US in the
-            # thread's surcharge; folding it into this charge keeps
-            # simulated elapsed identical to the slow path while saving
-            # the separate Charge event.  (A RUNNING thread's surcharge
-            # is otherwise always zero — it is consumed at switch-in.)
-            surcharge = thread.surcharge_us
-            if surcharge:
-                thread.surcharge_us = 0.0
             if self._recovering() and thread.resurrect_stack:
                 entry = thread.resurrect_stack[-1]
                 if not entry.completed and entry.request is request:
@@ -1160,7 +1145,7 @@ class AmberKernel:
                 thread.pending_invoke_metric = (
                     "invoke_remote_us" if thread.invoke_remote
                     else "invoke_local_us", thread.invoke_t0)
-            self._charge(thread, self.costs.local_return_us + surcharge,
+            self._charge(thread, self.costs.local_return_us,
                          lambda: self._complete_return(
                              thread, result, None,
                              result_bytes=request.result_bytes))
@@ -1241,14 +1226,6 @@ class AmberKernel:
             except AmberError as error:
                 thread.send_exc = error
             else:
-                # AmberElide: mark a lock whose (creator, class) pair
-                # the active artifact proves single-thread-reachable.
-                owners = _ert.LOCK_OWNERS
-                if owners and thread.stack:
-                    creator = _ert.lock_owner_name(
-                        type(thread.stack[-1].obj).__name__)
-                    if (creator, request.cls.__name__) in owners:
-                        obj._elide_ok = True
                 thread.send_value = obj
             self._advance(thread)
 

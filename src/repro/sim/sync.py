@@ -19,18 +19,6 @@ the lock is moved meanwhile, the waiter migrates to the lock's new home the
 next time it is scheduled (the context-switch-time residency check of
 section 3.5).
 
-**Sync elision (AmberElide).**  When a verified ``amberelide/1``
-artifact proves a lock single-thread-reachable, the kernel marks the
-instance ``_elide_ok`` at creation and ``acquire``/``release`` (and
-``Monitor.enter``/``exit``) take an *atomic* fast path: the state
-update runs inline with no Charge scheduler event, and the nominal
-``SYNC_OP_US`` is folded into the thread's surcharge so the simulated
-clock advances exactly as the slow path would — elision changes host
-cost, never simulated semantics.  A marked lock that is nonetheless
-observed held/contended bails to the slow path and counts it
-(``lock_elide_bailout_total``); the soundness audit asserts that
-counter stays zero.
-
 Programmers extend these classes for custom concurrency control — see
 ``ReaderWriterLock`` below for an example built purely from the public
 machinery, as the paper intends.
@@ -39,8 +27,7 @@ machinery, as the paper intends.
 from __future__ import annotations
 
 from collections import deque
-from typing import (TYPE_CHECKING, Any, Deque, Generator, List,
-                    Optional, Union)
+from typing import TYPE_CHECKING, Any, Deque, Generator, List, Optional
 
 from repro.analyze import runtime as _analysis
 from repro.errors import SynchronizationError
@@ -56,10 +43,8 @@ SYNC_OP_US = 5.0
 #: CPU burned per spin iteration of a non-relinquishing lock.
 SPIN_STEP_US = 2.0
 
-#: An operation body: a generator the kernel advances, or ``None`` from
-#: an atomic (elided) completion.
+#: An operation body: a generator the kernel advances.
 _Op = Generator[Any, Any, None]
-_MaybeOp = Union[_Op, None]
 
 
 def _pick_waiter(waiters: "Deque[SimThread]", kind: str,
@@ -87,7 +72,7 @@ class Lock(SimObject):
     SANITIZE_FIELDS = False     # lock state IS the synchronization
 
     __slots__ = ("_held", "_owner", "_waiters", "acquisitions",
-                 "contended_acquisitions", "_acquired_us", "_elide_ok")
+                 "contended_acquisitions", "_acquired_us")
 
     def __init__(self) -> None:
         self._held = False
@@ -96,28 +81,8 @@ class Lock(SimObject):
         self.acquisitions = 0
         self.contended_acquisitions = 0
         self._acquired_us = 0.0
-        #: Set by the kernel at creation when the active AmberElide
-        #: artifact proves this lock single-thread-reachable.
-        self._elide_ok = False
 
-    def acquire(self, ctx: "InvocationContext") -> _MaybeOp:
-        if self._elide_ok:
-            if not self._held:
-                self._held = True
-                self._owner = ctx.thread
-                self._acquired_us = ctx.now_us
-                self.acquisitions += 1
-                san = _analysis.ACTIVE
-                if san is not None:
-                    san.on_acquire(self, ctx.thread)
-                ctx.thread.surcharge_us += SYNC_OP_US
-                ctx.metrics.inc("lock_elided_total")
-                ctx.metrics.observe("lock_wait_us", 0.0)
-                return None
-            ctx.metrics.inc("lock_elide_bailout_total")
-        return self._acquire_slow(ctx)
-
-    def _acquire_slow(self, ctx: "InvocationContext") -> _Op:
+    def acquire(self, ctx: "InvocationContext") -> _Op:
         yield Charge(SYNC_OP_US)
         t0 = ctx.now_us
         contended = False
@@ -136,27 +101,7 @@ class Lock(SimObject):
             san.on_acquire(self, ctx.thread)
         ctx.metrics.observe("lock_wait_us", ctx.now_us - t0)
 
-    def release(self, ctx: "InvocationContext") -> _MaybeOp:
-        if self._elide_ok and not self._waiters:
-            if not self._held or self._owner is not ctx.thread:
-                raise SynchronizationError(
-                    f"release of lock {self.vaddr:#x} by non-owner "
-                    f"{ctx.thread.name}")
-            ctx.metrics.observe("lock_hold_us",
-                                ctx.now_us - self._acquired_us)
-            san = _analysis.ACTIVE
-            if san is not None:
-                san.on_release(self, ctx.thread)
-            self._held = False
-            self._owner = None
-            ctx.thread.surcharge_us += SYNC_OP_US
-            ctx.metrics.inc("lock_elided_total")
-            return None
-        if self._elide_ok:
-            ctx.metrics.inc("lock_elide_bailout_total")
-        return self._release_slow(ctx)
-
-    def _release_slow(self, ctx: "InvocationContext") -> _Op:
+    def release(self, ctx: "InvocationContext") -> _Op:
         yield Charge(SYNC_OP_US)
         if not self._held or self._owner is not ctx.thread:
             raise SynchronizationError(
@@ -204,7 +149,7 @@ class SpinLock(SimObject):
     SANITIZE_FIELDS = False
 
     __slots__ = ("_held", "_owner", "acquisitions", "spin_us",
-                 "_acquired_us", "_elide_ok")
+                 "_acquired_us")
 
     def __init__(self) -> None:
         self._held = False
@@ -212,26 +157,8 @@ class SpinLock(SimObject):
         self.acquisitions = 0
         self.spin_us = 0.0
         self._acquired_us = 0.0
-        self._elide_ok = False
 
-    def acquire(self, ctx: "InvocationContext") -> _MaybeOp:
-        if self._elide_ok:
-            if not self._held:
-                self._held = True
-                self._owner = ctx.thread
-                self._acquired_us = ctx.now_us
-                self.acquisitions += 1
-                san = _analysis.ACTIVE
-                if san is not None:
-                    san.on_acquire(self, ctx.thread)
-                ctx.thread.surcharge_us += SYNC_OP_US
-                ctx.metrics.inc("lock_elided_total")
-                ctx.metrics.observe("lock_wait_us", 0.0)
-                return None
-            ctx.metrics.inc("lock_elide_bailout_total")
-        return self._acquire_slow(ctx)
-
-    def _acquire_slow(self, ctx: "InvocationContext") -> _Op:
+    def acquire(self, ctx: "InvocationContext") -> _Op:
         yield Charge(SYNC_OP_US)
         t0 = ctx.now_us
         while self._held:
@@ -246,25 +173,7 @@ class SpinLock(SimObject):
             san.on_acquire(self, ctx.thread)
         ctx.metrics.observe("lock_wait_us", ctx.now_us - t0)
 
-    def release(self, ctx: "InvocationContext") -> _MaybeOp:
-        if self._elide_ok:
-            if not self._held or self._owner is not ctx.thread:
-                raise SynchronizationError(
-                    f"release of spinlock {self.vaddr:#x} by non-owner "
-                    f"{ctx.thread.name}")
-            ctx.metrics.observe("lock_hold_us",
-                                ctx.now_us - self._acquired_us)
-            san = _analysis.ACTIVE
-            if san is not None:
-                san.on_release(self, ctx.thread)
-            self._held = False
-            self._owner = None
-            ctx.thread.surcharge_us += SYNC_OP_US
-            ctx.metrics.inc("lock_elided_total")
-            return None
-        return self._release_slow(ctx)
-
-    def _release_slow(self, ctx: "InvocationContext") -> _Op:
+    def release(self, ctx: "InvocationContext") -> _Op:
         yield Charge(SYNC_OP_US)
         if not self._held or self._owner is not ctx.thread:
             raise SynchronizationError(
@@ -341,7 +250,7 @@ class Monitor(SimObject):
     SANITIZE_FIELDS = False
 
     __slots__ = ("_held", "_owner", "_waiters", "entries",
-                 "_acquired_us", "_elide_ok")
+                 "_acquired_us")
 
     def __init__(self) -> None:
         self._held = False
@@ -349,26 +258,8 @@ class Monitor(SimObject):
         self._waiters: Deque[SimThread] = deque()
         self.entries = 0
         self._acquired_us = 0.0
-        self._elide_ok = False
 
-    def enter(self, ctx: "InvocationContext") -> _MaybeOp:
-        if self._elide_ok:
-            if not self._held:
-                self._held = True
-                self._owner = ctx.thread
-                self._acquired_us = ctx.now_us
-                self.entries += 1
-                san = _analysis.ACTIVE
-                if san is not None:
-                    san.on_acquire(self, ctx.thread)
-                ctx.thread.surcharge_us += SYNC_OP_US
-                ctx.metrics.inc("lock_elided_total")
-                ctx.metrics.observe("lock_wait_us", 0.0)
-                return None
-            ctx.metrics.inc("lock_elide_bailout_total")
-        return self._enter_slow(ctx)
-
-    def _enter_slow(self, ctx: "InvocationContext") -> _Op:
+    def enter(self, ctx: "InvocationContext") -> _Op:
         yield Charge(SYNC_OP_US)
         t0 = ctx.now_us
         while self._held:
@@ -383,27 +274,7 @@ class Monitor(SimObject):
             san.on_acquire(self, ctx.thread)
         ctx.metrics.observe("lock_wait_us", ctx.now_us - t0)
 
-    def exit(self, ctx: "InvocationContext") -> _MaybeOp:
-        if self._elide_ok and not self._waiters:
-            if not self._held or self._owner is not ctx.thread:
-                raise SynchronizationError(
-                    f"exit of monitor {self.vaddr:#x} by non-owner "
-                    f"{ctx.thread.name}")
-            ctx.metrics.observe("lock_hold_us",
-                                ctx.now_us - self._acquired_us)
-            san = _analysis.ACTIVE
-            if san is not None:
-                san.on_release(self, ctx.thread)
-            self._held = False
-            self._owner = None
-            ctx.thread.surcharge_us += SYNC_OP_US
-            ctx.metrics.inc("lock_elided_total")
-            return None
-        if self._elide_ok:
-            ctx.metrics.inc("lock_elide_bailout_total")
-        return self._exit_slow(ctx)
-
-    def _exit_slow(self, ctx: "InvocationContext") -> _Op:
+    def exit(self, ctx: "InvocationContext") -> _Op:
         yield Charge(SYNC_OP_US)
         if not self._held or self._owner is not ctx.thread:
             raise SynchronizationError(
