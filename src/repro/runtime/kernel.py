@@ -75,6 +75,9 @@ RTO_MIN_S = 0.05
 RTO_MAX_S = 2.0
 RTO_CAP_FACTOR = 4.0
 
+#: Seconds an idle dispatch worker stays parked before it exits.
+WORKER_IDLE_S = 2.0
+
 log = logging.getLogger(__name__)
 
 
@@ -150,6 +153,68 @@ class _Dedup:
             return len(self._entries)
 
 
+class _DispatchPool:
+    """A cached pool of dispatch workers for one kernel's incoming
+    messages.
+
+    :meth:`submit` hands a message to the most recently parked idle
+    worker, or starts a new worker when none is idle, so it never
+    waits.  The pool is deliberately unbounded: handlers block (a
+    ``Barrier`` wait, a nested cross-node invoke, a move draining its
+    group's invocations), and a bounded pool whose workers all block
+    would deadlock.  A worker parked for :data:`WORKER_IDLE_S` exits.
+    """
+
+    def __init__(self, kernel: "NodeKernel"):
+        self._kernel = kernel
+        self._lock = threading.Lock()
+        #: Mailboxes of parked workers, most recently parked last.
+        self._idle: list = []
+        self._closed = False
+
+    def submit(self, message: Any) -> None:
+        with self._lock:
+            if self._closed:
+                return
+            if self._idle:
+                self._idle.pop().put(message)
+                return
+        self._kernel._count("workers_started")
+        threading.Thread(target=self._work,
+                         args=(queue.SimpleQueue(), message),
+                         name=f"amber-worker-{self._kernel.node_id}",
+                         daemon=True).start()
+
+    def shutdown(self) -> None:
+        """Refuse further messages and release every parked worker;
+        busy workers exit when their message is done."""
+        with self._lock:
+            self._closed = True
+            idle, self._idle = self._idle, []
+        for mailbox in idle:
+            mailbox.put(None)
+
+    def _work(self, mailbox: "queue.SimpleQueue", message: Any) -> None:
+        while message is not None:
+            # Looked up per message, so a wrapper installed on the class
+            # after this worker started still sees every dispatch.
+            self._kernel._dispatch(message)
+            with self._lock:
+                if self._closed:
+                    return
+                self._idle.append(mailbox)
+            try:
+                message = mailbox.get(timeout=WORKER_IDLE_S)
+            except queue.Empty:
+                with self._lock:
+                    if mailbox in self._idle:
+                        self._idle.remove(mailbox)
+                        return
+                # A submit (or shutdown) popped this worker just as it
+                # timed out: its message is on the way, so serve it.
+                message = mailbox.get()
+
+
 class ThreadHandle:
     """A started Amber thread: an outstanding shipped activation."""
 
@@ -200,6 +265,9 @@ class NodeKernel:
         #: Jitter source for the resend ladder (seeded per node so test
         #: runs are reproducible).
         self._rng = random.Random(node_id ^ 0x5EED)
+        #: Guards ``stats``: workers, the resender daemon and callers
+        #: all bump counters, and ``+=`` on a dict item is not atomic.
+        self._stats_lock = threading.Lock()
         self.stats: Dict[str, int] = {
             "local_invocations": 0,
             "remote_invocations": 0,
@@ -215,7 +283,9 @@ class NodeKernel:
             "dedup_replayed": 0,
             "circuit_fast_fails": 0,
             "circuit_reroutes": 0,
+            "workers_started": 0,
         }
+        self._pool = _DispatchPool(self)
         set_process_kernel(self)
         threading.Thread(target=self._resend_detached_loop, daemon=True,
                          name=f"amber-resender-{node_id}").start()
@@ -239,9 +309,9 @@ class NodeKernel:
         wherever it lives)."""
         obj = self._resident_object(vaddr)
         if obj is not None:
-            self.stats["local_invocations"] += 1
+            self._count("local_invocations")
             return self._execute(obj, method, args, kwargs)
-        self.stats["remote_invocations"] += 1
+        self._count("remote_invocations")
         return self._request(
             lambda rid: m.InvokeMsg(rid, self.node_id, vaddr, method,
                                     args, kwargs, trace=(self.node_id,)),
@@ -307,13 +377,18 @@ class NodeKernel:
     def _stats_snapshot(self) -> Dict[str, int]:
         """Kernel counters plus the mesh's (as ``transport_*`` keys),
         the circuit breakers', and the chaos layer's."""
-        snapshot = dict(self.stats)
+        with self._stats_lock:
+            snapshot = dict(self.stats)
         for key, value in self.mesh.stats.items():
             snapshot[f"transport_{key}"] = value
         snapshot.update(self._circuits.stats)
         if self.chaos is not None:
             snapshot.update(self.chaos.stats)
         return snapshot
+
+    def _count(self, key: str, n: int = 1) -> None:
+        with self._stats_lock:
+            self.stats[key] += n
 
     def wait_reply(self, request_id: int,
                    timeout: Optional[float] = None) -> Any:
@@ -331,6 +406,7 @@ class NodeKernel:
     def shutdown(self) -> None:
         self._resender_stop.set()
         self.mesh.close()
+        self._pool.shutdown()
 
     def _resend_detached_loop(self) -> None:
         """Retransmit detached requests (started threads nobody joined
@@ -354,7 +430,7 @@ class NodeKernel:
                     with self._detached_lock:
                         self._detached.pop(request_id, None)
                     continue
-                self.stats["resends"] += 1
+                self._count("resends")
                 try:
                     self._send_request(entry)
                 except (NodeFailure, ObjectNotFoundError) as error:
@@ -437,7 +513,7 @@ class NodeKernel:
                 # receive side's at-most-once dedup makes this safe —
                 # an in-flight twin is dropped, a completed one gets
                 # its cached reply replayed.
-                self.stats["resends"] += 1
+                self._count("resends")
                 try:
                     self._send_request(entry)
                 except (NodeFailure, ObjectNotFoundError):
@@ -512,9 +588,9 @@ class NodeKernel:
             if home not in (target, self.node_id) and \
                     self._circuits.check(home,
                                          home in suspected) != OPEN:
-                self.stats["circuit_reroutes"] += 1
+                self._count("circuit_reroutes")
                 return home
-        self.stats["circuit_fast_fails"] += 1
+        self._count("circuit_fast_fails")
         raise NodeFailure(
             f"node {self.node_id}: node {target} is unavailable "
             f"(circuit open{', suspected dead' if target in suspected else ''})")
@@ -530,11 +606,11 @@ class NodeKernel:
         status, cached = self._dedup.peek(
             (message.reply_to, message.request_id))
         if status == "replay":
-            self.stats["dedup_replayed"] += 1
+            self._count("dedup_replayed")
             self._send_quiet(message.reply_to, cached)
             return True
         if status == "in_progress":
-            self.stats["dedup_in_flight"] += 1
+            self._count("dedup_in_flight")
             return True
         return False
 
@@ -547,10 +623,10 @@ class NodeKernel:
         if status == "new":
             return True
         if status == "replay":
-            self.stats["dedup_replayed"] += 1
+            self._count("dedup_replayed")
             self._send_quiet(message.reply_to, cached)
         else:
-            self.stats["dedup_in_flight"] += 1
+            self._count("dedup_in_flight")
         return False
 
     def _send_quiet(self, node: int, message: Any) -> None:
@@ -672,7 +748,7 @@ class NodeKernel:
         with self._state:
             self._bind[vaddr] = self._bind.get(vaddr, 0) + 1
         try:
-            self.stats["invocations_executed"] += 1
+            self._count("invocations_executed")
             return fn(*args, **kwargs)
         finally:
             with self._state:
@@ -702,12 +778,12 @@ class NodeKernel:
         if isinstance(message, m.LocationHint):
             with self._state:
                 self._descriptors.update_hint(message.vaddr, message.node)
-            self.stats["hints"] += 1
+            self._count("hints")
             return
-        # Everything else may block: run it on its own worker thread.
-        threading.Thread(target=self._dispatch, args=(message,),
-                         name=f"amber-worker-{self.node_id}",
-                         daemon=True).start()
+        # Everything else may block, so it leaves the mesh reader: an
+        # idle pool worker takes it, or a new worker starts (see
+        # _DispatchPool for why the pool never makes it wait).
+        self._pool.submit(message)
 
     def _dispatch(self, message: Any) -> None:
         try:
@@ -771,7 +847,7 @@ class NodeKernel:
             # Immediate bounce: the object is probably mid-move; let the
             # install land before chasing again.
             time.sleep(0.005)
-        self.stats["forwards"] += 1
+        self._count("forwards")
         try:
             self.mesh.send(target,
                            type(message)(**{**message.__dict__,
@@ -895,7 +971,7 @@ class NodeKernel:
             lambda rid: m.InstallMsg(rid, self.node_id, shipment,
                                      tuple(edges)),
             self._fixed_router(dest))
-        self.stats["moves_out"] += 1
+        self._count("moves_out")
 
     def _ship_replica(self, obj: AmberObject, dest: int,
                       wait_ack: bool = False) -> None:
@@ -929,9 +1005,9 @@ class NodeKernel:
             self._reply_error(message.reply_to, message.request_id, error)
             return
         if message.replica:
-            self.stats["replicas_installed"] += len(message.objects)
+            self._count("replicas_installed", len(message.objects))
         else:
-            self.stats["moves_in"] += len(message.objects)
+            self._count("moves_in", len(message.objects))
         self._reply(message.reply_to, message.request_id, None)
 
     def _handle_fetch_replica(self, message: m.FetchReplicaMsg) -> None:
