@@ -16,7 +16,6 @@ verdict the fixture was built to produce:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional
 
 from repro.analyze.check import (
@@ -33,6 +32,7 @@ from repro.analyze.fixtures import (
     run_sync_zoo,
 )
 from repro.obs.metrics import MetricsRegistry
+from repro.suite import Outcome, Report, guarded, verdict
 
 #: Fixtures ``repro check`` can explore by name (CLI ``--fixture``).
 CHECK_FIXTURES: Dict[str, Callable[[int], Any]] = {
@@ -49,81 +49,10 @@ RARITY_SAMPLES = 300
 RARITY_SAMPLES_FAST = 80
 
 
-@dataclass
-class CheckOutcome:
-    """Verdict of one model-checking scenario."""
-
-    name: str
-    description: str
-    expected: str
-    correct: bool
-    deterministic: bool
-    schedules: int
-    #: Sorted finding signatures of the exploration (if any).
-    signatures: List[str] = field(default_factory=list)
-    detail: str = ""
-
-    @property
-    def ok(self) -> bool:
-        return self.correct and self.deterministic
-
-
-@dataclass
-class CheckScenarioReport:
-    """All scenarios of one ``repro check`` invocation."""
-
-    seed: int
-    fast: bool
-    budget: int
-    scenarios: List[CheckOutcome]
-
-    @property
-    def ok(self) -> bool:
-        return all(scenario.ok for scenario in self.scenarios)
-
-    def as_dict(self) -> Dict[str, Any]:
-        return {
-            "seed": self.seed,
-            "fast": self.fast,
-            "budget": self.budget,
-            "ok": self.ok,
-            "scenarios": [{
-                "name": s.name,
-                "description": s.description,
-                "expected": s.expected,
-                "ok": s.ok,
-                "correct": s.correct,
-                "deterministic": s.deterministic,
-                "schedules": s.schedules,
-                "signatures": s.signatures,
-                "detail": s.detail,
-            } for s in self.scenarios],
-        }
-
-    def render(self) -> str:
-        lines = [f"AmberCheck report (seed {self.seed}, budget "
-                 f"{self.budget})", "=" * 48]
-        for s in self.scenarios:
-            verdict = "PASS" if s.ok else "FAIL"
-            lines.append("")
-            lines.append(f"[{verdict}] {s.name}: {s.description}")
-            lines.append(f"  expected: {s.expected}")
-            lines.append(f"  correct: {s.correct}   "
-                         f"deterministic: {s.deterministic}   "
-                         f"schedules: {s.schedules}")
-            for signature in s.signatures:
-                lines.append(f"  finding: {signature}")
-            if s.detail:
-                lines.append(f"  {s.detail}")
-        lines.append("")
-        lines.append(f"overall: {'PASS' if self.ok else 'FAIL'}")
-        return "\n".join(lines)
-
-
 def run_check_scenarios(seed: int = 0, fast: bool = False,
                         budget: int = DEFAULT_MAX_SCHEDULES,
                         metrics: Optional[MetricsRegistry] = None
-                        ) -> CheckScenarioReport:
+                        ) -> Report:
     """Run every scenario and collect the verdicts.
 
     ``metrics`` (a :class:`repro.obs.metrics.MetricsRegistry`)
@@ -131,38 +60,42 @@ def run_check_scenarios(seed: int = 0, fast: bool = False,
     prunes, backtracks, choice-point depths — across every scenario,
     for the CLI's ``--metrics-json`` artifact.
     """
-    scenarios = [
-        _finds_hidden_bug(
+    outcomes = [
+        guarded("hidden-race", lambda: _finds_hidden_bug(
             "hidden-race",
             "race inside a one-segment gate window, clean on the "
             "default schedule",
             lambda: run_hidden_race(seed),
             finding_kind="sanitizer", rule="AMBSAN-RACE",
-            seed=seed, budget=budget, fast=fast, metrics=metrics),
-        _finds_hidden_bug(
+            seed=seed, budget=budget, fast=fast, metrics=metrics)),
+        guarded("hidden-deadlock", lambda: _finds_hidden_bug(
             "hidden-deadlock",
             "lock order inverted only when a transient mode flag is "
             "observed",
             lambda: run_hidden_deadlock(seed),
             finding_kind="deadlock", rule="DEADLOCK",
-            seed=seed, budget=budget, fast=fast, metrics=metrics),
-        _explores_clean(
+            seed=seed, budget=budget, fast=fast, metrics=metrics)),
+        guarded("locked-counter-exhausts", lambda: _explores_clean(
             "locked-counter-exhausts",
             "lock-protected counter explores clean to exhaustion",
             lambda: run_racy_counter(seed, locked=True, rounds=2),
-            budget=budget, metrics=metrics),
-        _explores_clean(
+            budget=budget, metrics=metrics)),
+        guarded("sync-zoo-exhausts", lambda: _explores_clean(
             "sync-zoo-exhausts",
             "uniprocessor synchronization zoo explores clean to "
             "exhaustion",
             lambda: run_sync_zoo(seed, rounds=1, cpus_per_node=1),
-            budget=budget, metrics=metrics),
-        _dpor_not_worse(seed, budget, metrics=metrics),
+            budget=budget, metrics=metrics)),
+        guarded("dpor-vs-exhaustive",
+                lambda: _dpor_not_worse(seed, budget, metrics=metrics)),
     ]
     if not fast:
-        scenarios.append(_apps_clean_sweep(budget, metrics=metrics))
-    return CheckScenarioReport(seed=seed, fast=fast, budget=budget,
-                               scenarios=scenarios)
+        outcomes.append(guarded(
+            "apps-clean-sweep",
+            lambda: _apps_clean_sweep(budget, metrics=metrics)))
+    return Report("AmberCheck report", outcomes, seed=seed, fast=fast,
+                  header=[f"budget: {budget} schedules"],
+                  extra={"budget": budget})
 
 
 # ----------------------------------------------------------------------
@@ -175,7 +108,7 @@ def _finds_hidden_bug(name: str, description: str,
                       rule: str, seed: int, budget: int,
                       fast: bool,
                       metrics: Optional[MetricsRegistry] = None
-                      ) -> CheckOutcome:
+                      ) -> Outcome:
     """The default schedule must be clean, exploration must surface a
     ``finding_kind`` finding whose trace replays bit-identically, a
     repeat exploration must agree, and the bug must be rare under
@@ -232,26 +165,24 @@ def _finds_hidden_bug(name: str, description: str,
         problems.append(f"bug manifests in {100 * rate:.1f}% of "
                         f"{samples} random schedules (needs < 5%)")
 
-    return CheckOutcome(
-        name=name, description=description,
-        expected=f"{rule} within {budget} schedules, replayable, "
-                 f"< 5% random manifestation",
+    return verdict(
+        name, description,
         correct=not [p for p in problems
                      if "deterministic" not in p
                      and "bit-identical" not in p],
         deterministic=deterministic,
-        schedules=report.schedules,
-        signatures=report.signatures(),
-        detail="; ".join(problems) + (
-            f" [manifestation {manifested}/{samples}]"
-            if not problems else ""))
+        details=[f"expected: {rule} within {budget} schedules, "
+                 f"replayable, < 5% random manifestation",
+                 f"schedules: {report.schedules}",
+                 f"manifestation: {manifested}/{samples}", *problems],
+        signatures=report.signatures())
 
 
 def _explores_clean(name: str, description: str,
                     program_fn: Callable[[], Any],
                     budget: int,
                     metrics: Optional[MetricsRegistry] = None
-                    ) -> CheckOutcome:
+                    ) -> Outcome:
     report = check_program(program_fn, name=name, budget=budget,
                            metrics=metrics)
     problems: List[str] = []
@@ -260,18 +191,16 @@ def _explores_clean(name: str, description: str,
     if not report.exhausted:
         problems.append(
             f"did not exhaust within {budget} schedules")
-    return CheckOutcome(
-        name=name, description=description,
-        expected="clean, exhausted",
-        correct=not problems, deterministic=True,
-        schedules=report.schedules,
-        signatures=report.signatures(),
-        detail="; ".join(problems))
+    return verdict(
+        name, description, not problems, True,
+        ["expected: clean, exhausted",
+         f"schedules: {report.schedules}", *problems],
+        signatures=report.signatures())
 
 
 def _dpor_not_worse(seed: int, budget: int,
                     metrics: Optional[MetricsRegistry] = None
-                    ) -> CheckOutcome:
+                    ) -> Outcome:
     """On a small instance both modes must exhaust with identical
     finding signatures, and DPOR must visit no more schedules."""
     program_fn = lambda: run_hidden_race(seed, decoys=2)  # noqa: E731
@@ -292,22 +221,19 @@ def _dpor_not_worse(seed: int, budget: int,
         problems.append(
             f"DPOR explored more schedules ({reduced.schedules}) "
             f"than exhaustive ({exhaustive.schedules})")
-    return CheckOutcome(
-        name="dpor-vs-exhaustive",
-        description="partial-order reduction preserves findings at "
-                    "lower cost",
-        expected="same findings, fewer or equal schedules",
-        correct=not problems, deterministic=True,
-        schedules=reduced.schedules,
-        signatures=reduced.signatures(),
-        detail="; ".join(problems) + (
-            f" [exhaustive {exhaustive.schedules} vs DPOR "
-            f"{reduced.schedules} schedules]" if not problems else ""))
+    return verdict(
+        "dpor-vs-exhaustive",
+        "partial-order reduction preserves findings at lower cost",
+        not problems, True,
+        ["expected: same findings, fewer or equal schedules",
+         f"schedules: exhaustive {exhaustive.schedules} vs DPOR "
+         f"{reduced.schedules}", *problems],
+        signatures=reduced.signatures())
 
 
 def _apps_clean_sweep(budget: int,
                       metrics: Optional[MetricsRegistry] = None
-                      ) -> CheckOutcome:
+                      ) -> Outcome:
     """Small configurations of the bundled applications must explore
     clean to exhaustion or the sweep budget."""
     from repro.apps.matmul import run_matmul
@@ -335,13 +261,11 @@ def _apps_clean_sweep(budget: int,
         schedules += report.schedules
         if not report.ok:
             problems.append(f"{name}: {report.signatures()}")
-    return CheckOutcome(
-        name="apps-clean-sweep",
-        description="bundled sor/queens/matmul explore clean under a "
-                    "small budget",
-        expected=f"clean across <= {sweep_budget} schedules each",
-        correct=not problems, deterministic=True,
-        schedules=schedules,
+    return verdict(
+        "apps-clean-sweep",
+        "bundled sor/queens/matmul explore clean under a small budget",
+        not problems, True,
+        [f"expected: clean across <= {sweep_budget} schedules each",
+         f"schedules: {schedules}", *problems],
         signatures=sorted(sig for report in reports
-                          for sig in report.signatures()),
-        detail="; ".join(problems))
+                          for sig in report.signatures()))

@@ -13,98 +13,22 @@ Two static self-checks guard the advisory AMB301-AMB304 pass:
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.analyze.elide.diagnostics import diagnose
 from repro.analyze.elide.fixtures import FIXTURES
 from repro.analyze.elide.model import ElideModel, classify_sources
 from repro.analyze.flow.scenario import collect_sources
-from repro.analyze.lint import LintFinding
+from repro.suite import Outcome, Report, guarded
 
 #: What ``repro elide`` analyzes when no paths are given.
 DEFAULT_PATHS = ("src/repro/apps", "examples")
-
-
-# ---------------------------------------------------------------------------
-# Report plumbing
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class ElideOutcome:
-    """One scenario's verdict."""
-
-    name: str
-    ok: bool
-    details: List[str] = field(default_factory=list)
-
-    def as_dict(self) -> Dict[str, Any]:
-        return {"name": self.name, "ok": self.ok,
-                "details": list(self.details)}
-
-    def render(self) -> str:
-        mark = "ok " if self.ok else "FAIL"
-        body = "".join(f"\n      {line}" for line in self.details)
-        return f"  [{mark}] {self.name}{body}"
-
-
-def findings_payload(findings: Sequence[LintFinding]
-                     ) -> List[Dict[str, Any]]:
-    return [{"path": f.path, "line": f.line, "rule": f.rule,
-             "message": f.message} for f in findings]
 
 
 def single_thread_owners(model: ElideModel) -> List[Tuple[str, str]]:
     """Sorted ``(owner, lock_cls)`` pairs of single-thread lock sites."""
     return sorted({(site.owner, site.cls) for site in model.lock_sites
                    if site.elidable})
-
-
-@dataclass
-class ElideReport:
-    """Everything ``repro elide`` produced in one run."""
-
-    outcomes: List[ElideOutcome]
-    model: ElideModel
-    findings: List[LintFinding]
-    paths: List[str]
-
-    @property
-    def ok(self) -> bool:
-        return all(outcome.ok for outcome in self.outcomes)
-
-    def as_dict(self) -> Dict[str, Any]:
-        return {
-            "schema": "amberelide-report/2",
-            "ok": self.ok,
-            "paths": list(self.paths),
-            "outcomes": [o.as_dict() for o in self.outcomes],
-            "classification": self.model.as_dict(),
-            "findings": findings_payload(self.findings),
-        }
-
-    def render(self) -> str:
-        lines = [f"AmberElide over {', '.join(self.paths)}:"]
-        lines.append(f"  confined: "
-                     f"{', '.join(self.model.confined) or '(none)'}")
-        lines.append(f"  immutable: "
-                     f"{', '.join(self.model.immutable) or '(none)'}")
-        owners = [f"{owner}/{cls}"
-                  for owner, cls in single_thread_owners(self.model)]
-        lines.append(f"  single-thread locks: "
-                     f"{', '.join(owners) or '(none)'}")
-        for finding in self.findings:
-            lines.append(f"  {finding.path}:{finding.line} "
-                         f"{finding.rule} {finding.message}")
-        lines.append("scenarios:")
-        for outcome in self.outcomes:
-            lines.append(outcome.render())
-        passed = sum(1 for o in self.outcomes if o.ok)
-        verdict = "PASS" if self.ok else "FAIL"
-        lines.append(f"overall: {verdict} "
-                     f"({passed}/{len(self.outcomes)} scenarios)")
-        return "\n".join(lines)
 
 
 # ---------------------------------------------------------------------------
@@ -117,12 +41,12 @@ def _analysis_json(corpus: Sequence[Tuple[str, str]]) -> str:
     model = classify_sources(corpus)
     return json.dumps(
         {"classification": model.as_dict(),
-         "findings": findings_payload(diagnose(model, corpus))},
+         "findings": [f.as_dict() for f in diagnose(model, corpus)]},
         sort_keys=True, separators=(",", ":"))
 
 
 def _outcome_deterministic(
-        sources: Sequence[Tuple[str, str]]) -> ElideOutcome:
+        sources: Sequence[Tuple[str, str]]) -> Outcome:
     """Scan everything twice; the results must be byte-identical."""
     corpora: List[Tuple[str, List[Tuple[str, str]]]] = [
         (fx.name, fx.sources()) for fx in FIXTURES.values()]
@@ -135,10 +59,10 @@ def _outcome_deterministic(
             details.append(f"{name}: rerun analysis differs")
     details.append(f"{len(corpora)} corpora scanned twice, "
                    f"byte-identical classification and findings")
-    return ElideOutcome("deterministic-analysis", ok, details)
+    return Outcome("deterministic-analysis", ok, details=details)
 
 
-def _outcome_fixture_catalog() -> ElideOutcome:
+def _outcome_fixture_catalog() -> Outcome:
     """Classification and AMB3xx findings match the catalog exactly."""
     details: List[str] = []
     ok = True
@@ -163,7 +87,7 @@ def _outcome_fixture_catalog() -> ElideOutcome:
         else:
             details.append(f"{fx.name}: {len(findings)} finding(s), "
                            f"classification as expected")
-    return ElideOutcome("fixture-catalog", ok, details)
+    return Outcome("fixture-catalog", ok, details=details)
 
 
 # ---------------------------------------------------------------------------
@@ -172,15 +96,29 @@ def _outcome_fixture_catalog() -> ElideOutcome:
 
 
 def run_elide_scenarios(paths: Optional[Sequence[str]] = None
-                        ) -> ElideReport:
+                        ) -> Report:
     """Classify ``paths`` and run the static suite."""
     used_paths = [str(p) for p in (paths or DEFAULT_PATHS)]
     sources = collect_sources(used_paths)
     emodel = classify_sources(sources)
+    findings = diagnose(emodel, sources)
     outcomes = [
-        _outcome_deterministic(sources),
-        _outcome_fixture_catalog(),
+        guarded("deterministic-analysis",
+                lambda: _outcome_deterministic(sources)),
+        guarded("fixture-catalog", _outcome_fixture_catalog),
     ]
-    return ElideReport(outcomes=outcomes, model=emodel,
-                       findings=diagnose(emodel, sources),
-                       paths=used_paths)
+    owners = [f"{owner}/{cls}"
+              for owner, cls in single_thread_owners(emodel)]
+    header = [
+        f"confined: {', '.join(emodel.confined) or '(none)'}",
+        f"immutable: {', '.join(emodel.immutable) or '(none)'}",
+        f"single-thread locks: {', '.join(owners) or '(none)'}",
+        *(finding.render() for finding in findings),
+    ]
+    return Report(
+        f"AmberElide over {', '.join(used_paths)}", outcomes,
+        header=header,
+        extra={"schema": "amberelide-report/2",
+               "classification": emodel.as_dict(),
+               "findings": [f.as_dict() for f in findings],
+               "paths": used_paths})

@@ -37,9 +37,9 @@ from __future__ import annotations
 
 import ast
 import re
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from typing import Any, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 RULES: Dict[str, str] = {
     "AMB101": "lock acquired but not released on some path",
@@ -85,6 +85,11 @@ class LintFinding:
 
     def render(self) -> str:
         return f"{self.path}:{self.line}: {self.rule} {self.message}"
+
+    def as_dict(self) -> Dict[str, Any]:
+        """JSON form; the field order is the key order of committed
+        expectation files."""
+        return asdict(self)
 
 
 @dataclass(frozen=True)

@@ -10,8 +10,7 @@ simulated execution.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Set, cast
+from typing import Any, Callable, List, Set, cast
 
 from repro.analyze.fixtures import (
     run_immutable_write,
@@ -22,116 +21,48 @@ from repro.analyze.fixtures import (
 )
 from repro.analyze.runtime import sanitize_runs
 from repro.analyze.sanitizer import SanitizerReport
+from repro.suite import Outcome, Report, guarded, verdict
 
 
-@dataclass
-class AnalysisOutcome:
-    """Verdict of one analysis scenario."""
-
-    name: str
-    description: str
-    #: What the sanitizer was expected to report, human-readable.
-    expected: str
-    correct: bool
-    deterministic: bool
-    elapsed_us: float
-    #: Sorted, seed/time-stable finding signatures of the first run.
-    signatures: List[str] = field(default_factory=list)
-    detail: str = ""
-
-    @property
-    def ok(self) -> bool:
-        return self.correct and self.deterministic
-
-
-@dataclass
-class AnalysisReport:
-    """All scenarios of one ``repro analyze`` invocation."""
-
-    seed: int
-    fast: bool
-    scenarios: List[AnalysisOutcome]
-
-    @property
-    def ok(self) -> bool:
-        return all(scenario.ok for scenario in self.scenarios)
-
-    def as_dict(self) -> Dict[str, Any]:
-        return {
-            "seed": self.seed,
-            "fast": self.fast,
-            "ok": self.ok,
-            "scenarios": [{
-                "name": s.name,
-                "description": s.description,
-                "expected": s.expected,
-                "ok": s.ok,
-                "correct": s.correct,
-                "deterministic": s.deterministic,
-                "elapsed_us": s.elapsed_us,
-                "signatures": s.signatures,
-                "detail": s.detail,
-            } for s in self.scenarios],
-        }
-
-    def render(self) -> str:
-        lines = [f"AmberSan analysis report (seed {self.seed})",
-                 "=" * 48]
-        for s in self.scenarios:
-            verdict = "PASS" if s.ok else "FAIL"
-            lines.append("")
-            lines.append(f"[{verdict}] {s.name}: {s.description}")
-            lines.append(f"  expected: {s.expected}")
-            lines.append(f"  correct: {s.correct}   "
-                         f"deterministic: {s.deterministic}")
-            for signature in s.signatures:
-                lines.append(f"  finding: {signature}")
-            if s.detail:
-                lines.append(f"  {s.detail}")
-        lines.append("")
-        lines.append(f"overall: {'PASS' if self.ok else 'FAIL'}")
-        return "\n".join(lines)
-
-
-def run_analysis_scenarios(seed: int = 0,
-                           fast: bool = False) -> AnalysisReport:
+def run_analysis_scenarios(seed: int = 0, fast: bool = False) -> Report:
     """Run every scenario under ``seed`` and collect the verdicts."""
-    scenarios = [
-        _expect_findings(
+    outcomes = [
+        guarded("racy-counter", lambda: _expect_findings(
             "racy-counter",
             "two threads bump an unlocked shared counter",
             lambda s: run_racy_counter(seed=s),
-            rules={"AMBSAN-RACE"}, seed=seed),
-        _expect_clean(
+            rules={"AMBSAN-RACE"}, seed=seed)),
+        guarded("locked-counter", lambda: _expect_clean(
             "locked-counter",
             "the same counter behind a Lock",
-            lambda s: run_racy_counter(seed=s, locked=True), seed=seed),
-        _expect_findings(
+            lambda s: run_racy_counter(seed=s, locked=True), seed=seed)),
+        guarded("immutable-write", lambda: _expect_findings(
             "immutable-write",
             "write to an immutable-marked object after replication",
             lambda s: run_immutable_write(seed=s),
-            rules={"AMBSAN-IMMUT"}, seed=seed),
-        _expect_findings(
+            rules={"AMBSAN-IMMUT"}, seed=seed)),
+        guarded("non-resident-touch", lambda: _expect_findings(
             "non-resident-touch",
             "direct read of state the thread migrated away from",
             lambda s: run_nonresident_touch(seed=s),
-            rules={"AMBSAN-RESIDENT"}, seed=seed),
-        _expect_findings(
+            rules={"AMBSAN-RESIDENT"}, seed=seed)),
+        guarded("lock-inversion", lambda: _expect_findings(
             "lock-inversion",
             "A->B and B->A acquisition orders on a run that did "
             "not deadlock",
             lambda s: run_lock_inversion(seed=s),
-            rules={"AMBSAN-ORDER"}, seed=seed),
-        _expect_clean(
+            rules={"AMBSAN-ORDER"}, seed=seed)),
+        guarded("sync-zoo", lambda: _expect_clean(
             "sync-zoo",
             "barrier epochs, monitor sections, and a condvar "
             "handoff used correctly",
-            lambda s: run_sync_zoo(seed=s), seed=seed),
-        _timing_neutral(seed),
+            lambda s: run_sync_zoo(seed=s), seed=seed)),
+        guarded("timing-neutral", lambda: _timing_neutral(seed)),
     ]
     if not fast:
-        scenarios.append(_apps_clean(seed))
-    return AnalysisReport(seed=seed, fast=fast, scenarios=scenarios)
+        outcomes.append(guarded("apps-clean", lambda: _apps_clean(seed)))
+    return Report("AmberSan analysis report", outcomes, seed=seed,
+                  fast=fast)
 
 
 # ----------------------------------------------------------------------
@@ -143,9 +74,13 @@ def _report_of(result: Any) -> SanitizerReport:
     return cast(SanitizerReport, result.cluster.sanitizer.report())
 
 
+def _simulated(elapsed_us: float) -> str:
+    return f"simulated: {elapsed_us:.1f} us"
+
+
 def _expect_findings(name: str, description: str,
                      fixture: Callable[[int], Any],
-                     rules: Set[str], seed: int) -> AnalysisOutcome:
+                     rules: Set[str], seed: int) -> Outcome:
     """The fixture must produce at least one finding of each expected
     rule, no findings of other rules, and identical signatures on a
     repeat run and on neighbouring seeds."""
@@ -154,59 +89,53 @@ def _expect_findings(name: str, description: str,
     seen_rules = {f.rule for f in report.findings}
     signatures = report.signatures()
     correct = rules <= seen_rules and seen_rules <= rules
-    detail = ""
+    details = [f"expected: {' + '.join(sorted(rules))}",
+               _simulated(result.elapsed_us)]
     if not correct:
-        detail = (f"expected rules {sorted(rules)}, "
-                  f"saw {sorted(seen_rules)}")
+        details.append(f"expected rules {sorted(rules)}, "
+                       f"saw {sorted(seen_rules)}")
     deterministic = True
     for other_seed in (seed, seed + 1, seed + 2):
         again = _report_of(fixture(other_seed)).signatures()
         if again != signatures:
             deterministic = False
-            detail = (detail + " " if detail else "") + (
-                f"signatures diverge at seed {other_seed}")
+            details.append(f"signatures diverge at seed {other_seed}")
             break
-    return AnalysisOutcome(
-        name=name, description=description,
-        expected=" + ".join(sorted(rules)),
-        correct=correct, deterministic=deterministic,
-        elapsed_us=result.elapsed_us,
-        signatures=signatures, detail=detail)
+    return verdict(name, description, correct, deterministic, details,
+                   signatures=signatures)
 
 
 def _expect_clean(name: str, description: str,
                   fixture: Callable[[int], Any],
-                  seed: int) -> AnalysisOutcome:
+                  seed: int) -> Outcome:
     result = fixture(seed)
     report = _report_of(result)
-    detail = "" if report.ok else report.render()
-    return AnalysisOutcome(
-        name=name, description=description, expected="clean",
-        correct=report.ok, deterministic=True,
-        elapsed_us=result.elapsed_us,
-        signatures=report.signatures(), detail=detail)
+    details = ["expected: clean", _simulated(result.elapsed_us)]
+    if not report.ok:
+        details.append(report.render())
+    return verdict(name, description, report.ok, True, details,
+                   signatures=report.signatures())
 
 
-def _timing_neutral(seed: int) -> AnalysisOutcome:
+def _timing_neutral(seed: int) -> Outcome:
     """Sanitizing must not move a single simulated timestamp or change
     the program's result."""
     plain = run_racy_counter(seed=seed, sanitize=False)
     sanitized = run_racy_counter(seed=seed, sanitize=True)
     correct = (plain.elapsed_us == sanitized.elapsed_us
                and plain.value == sanitized.value)
-    detail = "" if correct else (
-        f"elapsed {plain.elapsed_us} vs {sanitized.elapsed_us}, "
-        f"value {plain.value} vs {sanitized.value}")
-    return AnalysisOutcome(
-        name="timing-neutral",
-        description="identical elapsed time and result with and "
-                    "without the sanitizer",
-        expected="bit-identical run", correct=correct,
-        deterministic=True, elapsed_us=sanitized.elapsed_us,
-        detail=detail)
+    details = ["expected: bit-identical run",
+               _simulated(sanitized.elapsed_us)]
+    if not correct:
+        details.append(
+            f"elapsed {plain.elapsed_us} vs {sanitized.elapsed_us}, "
+            f"value {plain.value} vs {sanitized.value}")
+    return verdict("timing-neutral",
+                   "identical elapsed time and result with and without "
+                   "the sanitizer", correct, True, details)
 
 
-def _apps_clean(seed: int) -> AnalysisOutcome:
+def _apps_clean(seed: int) -> Outcome:
     """Every bundled application must run sanitizer-clean."""
     from repro.apps.matmul import run_matmul
     from repro.apps.queens import run_amber_queens
@@ -232,8 +161,7 @@ def _apps_clean(seed: int) -> AnalysisOutcome:
             report = sanitizer.report()
             if not report.ok:
                 dirty.append(f"{name}: {report.render()}")
-    return AnalysisOutcome(
-        name="apps-clean",
-        description="bundled sor/queens/matmul run sanitizer-clean",
-        expected="clean", correct=not dirty, deterministic=True,
-        elapsed_us=elapsed, detail="; ".join(dirty))
+    return verdict("apps-clean",
+                   "bundled sor/queens/matmul run sanitizer-clean",
+                   not dirty, True,
+                   ["expected: clean", _simulated(elapsed), *dirty])

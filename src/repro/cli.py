@@ -12,7 +12,7 @@
     python -m repro trace sor --fast --out trace.json
                                               # Chrome/Perfetto trace export
     python -m repro profile sor --fast        # per-thread time attribution
-    python -m repro faults [--fast] [--seed N]
+    python -m repro faults [--fast] [--seed N] [--json PATH]
                                               # fault injection & recovery
                                               # report (see docs/FAULTS.md)
     python -m repro faults --recover [--fast] # permanent-crash recovery
@@ -64,6 +64,7 @@ gauges) as JSON.
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 from typing import List, Optional
 
@@ -173,40 +174,35 @@ def _cmd_profile(args) -> int:
     return 0
 
 
-def _cmd_faults(args) -> int:
-    import json
+def _finish_suite(report, json_path: Optional[str]) -> int:
+    """Print a suite report (:class:`repro.suite.Report`), dump it to
+    ``json_path`` if given, and return the exit code."""
+    print(report.render())
+    if json_path:
+        with open(json_path, "w") as handle:
+            json.dump(report.as_dict(), handle, indent=2)
+        print(f"\nreport written to {json_path}")
+    return 0 if report.ok else 1
 
+
+def _cmd_faults(args) -> int:
     if args.recover:
         from repro.recovery.scenario import run_recovery_scenarios
         report = run_recovery_scenarios(seed=args.seed, fast=args.fast)
     else:
         from repro.faults.scenario import run_fault_scenarios
         report = run_fault_scenarios(seed=args.seed, fast=args.fast)
-    print(report.render())
-    if args.metrics_json:
-        with open(args.metrics_json, "w") as handle:
-            json.dump(report.as_dict(), handle, indent=2)
-        print(f"\nreport written to {args.metrics_json}")
-    return 0 if report.ok else 1
+    return _finish_suite(report, args.json)
 
 
 def _cmd_chaos(args) -> int:
-    import json
-
     from repro.faults.livescenario import run_chaos_scenarios
 
     report = run_chaos_scenarios(seed=args.seed, fast=args.fast)
-    print(report.render())
-    if args.json:
-        with open(args.json, "w") as handle:
-            json.dump(report.as_dict(), handle, indent=2)
-        print(f"\nreport written to {args.json}")
-    return 0 if report.ok else 1
+    return _finish_suite(report, args.json)
 
 
 def _cmd_analyze(args) -> int:
-    import json
-
     if args.workload:
         from repro.analyze.runtime import sanitize_runs
         with sanitize_runs() as sanitizers:
@@ -228,17 +224,10 @@ def _cmd_analyze(args) -> int:
 
     from repro.analyze.scenario import run_analysis_scenarios
     report = run_analysis_scenarios(seed=args.seed, fast=args.fast)
-    print(report.render())
-    if args.json:
-        with open(args.json, "w") as handle:
-            json.dump(report.as_dict(), handle, indent=2)
-        print(f"\nreport written to {args.json}")
-    return 0 if report.ok else 1
+    return _finish_suite(report, args.json)
 
 
 def _cmd_check(args) -> int:
-    import json
-
     from repro.analyze.checkscenario import (
         CHECK_FIXTURES,
         run_check_scenarios,
@@ -246,6 +235,10 @@ def _cmd_check(args) -> int:
 
     if args.replay is not None and not args.fixture:
         print("--replay requires --fixture", file=sys.stderr)
+        return 2
+    if args.metrics_json and args.fixture:
+        print("--metrics-json is scenario mode only; it cannot be "
+              "combined with --fixture", file=sys.stderr)
         return 2
 
     if args.fixture:
@@ -305,21 +298,15 @@ def _cmd_check(args) -> int:
         metrics = MetricsRegistry()
     report = run_check_scenarios(seed=args.seed, fast=args.fast,
                                  budget=args.budget, metrics=metrics)
-    print(report.render())
-    if args.json:
-        with open(args.json, "w") as handle:
-            json.dump(report.as_dict(), handle, indent=2)
-        print(f"\nreport written to {args.json}")
+    code = _finish_suite(report, args.json)
     if metrics is not None:
         write_metrics_json(args.metrics_json,
                            {"check": metrics.as_dict()})
         print(f"exploration metrics written to {args.metrics_json}")
-    return 0 if report.ok else 1
+    return code
 
 
 def _cmd_perf(args) -> int:
-    import json
-
     from repro.perf import benchfile, harness
 
     if args.compare:
@@ -377,8 +364,6 @@ def _cmd_perf(args) -> int:
 
 
 def _cmd_lint(args) -> int:
-    import json
-
     from repro.analyze.lint import RULES, lint_paths
 
     paths = args.paths or ["src/repro/apps", "examples"]
@@ -391,13 +376,9 @@ def _cmd_lint(args) -> int:
             print(f"{rule}: {text}")
     if args.json:
         with open(args.json, "w") as handle:
-            json.dump({
-                "paths": paths,
-                "findings": [
-                    {"path": f.path, "line": f.line, "rule": f.rule,
-                     "message": f.message} for f in findings
-                ],
-            }, handle, indent=2)
+            json.dump({"paths": paths,
+                       "findings": [f.as_dict() for f in findings]},
+                      handle, indent=2)
         print(f"findings written to {args.json}")
     if findings:
         print(f"\n{len(findings)} finding(s)")
@@ -407,41 +388,27 @@ def _cmd_lint(args) -> int:
 
 
 def _cmd_flow(args) -> int:
-    import json
-
-    from repro.analyze.flow import run_flow_scenarios
+    from repro.analyze.flow import load_hints, run_flow_scenarios
 
     report = run_flow_scenarios(fast=args.fast, paths=args.paths,
                                 expect=args.expect)
-    print(report.render())
+    code = _finish_suite(report, args.json)
     if args.hints_out:
         with open(args.hints_out, "w") as handle:
-            handle.write(report.hints.to_json())
+            handle.write(load_hints(report.extra["hints"]).to_json())
         print(f"\nplacement hints written to {args.hints_out}")
     if args.write_expect:
         with open(args.write_expect, "w") as handle:
-            json.dump(report.findings_payload(), handle, indent=2)
+            json.dump(report.extra["findings"], handle, indent=2)
             handle.write("\n")
         print(f"\nfindings expectation written to {args.write_expect}")
-    if args.json:
-        with open(args.json, "w") as handle:
-            json.dump(report.as_dict(), handle, indent=2)
-        print(f"\nreport written to {args.json}")
-    return 0 if report.ok else 1
+    return code
 
 
 def _cmd_elide(args) -> int:
-    import json
-
     from repro.analyze.elide.scenario import run_elide_scenarios
 
-    report = run_elide_scenarios(paths=args.paths)
-    print(report.render())
-    if args.json:
-        with open(args.json, "w") as handle:
-            json.dump(report.as_dict(), handle, indent=2)
-        print(f"\nreport written to {args.json}")
-    return 0 if report.ok else 1
+    return _finish_suite(run_elide_scenarios(paths=args.paths), args.json)
 
 
 def _maybe_write_metrics(args, result) -> None:
@@ -496,9 +463,9 @@ def main(argv: Optional[List[str]] = None) -> int:
                          "permanent node death survived via checkpoint "
                          "promotion and thread resurrection (see "
                          "docs/RECOVERY.md)")
-    fp.add_argument("--metrics-json", metavar="PATH", default=None,
-                    help="dump the recovery report (verdicts + fault "
-                         "counters) as JSON")
+    fp.add_argument("--json", metavar="PATH", default=None,
+                    help="dump the report (verdicts + fault counters) "
+                         "as JSON")
 
     pp = sub.add_parser("profile",
                         help="run a workload and print per-thread time "

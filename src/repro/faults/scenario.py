@@ -30,10 +30,10 @@ Used by ``python -m repro faults`` and the fault test-suite.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
 from repro.faults.plan import FaultPlan, NodeCrash
+from repro.suite import Outcome, Report, guarded, verdict
 
 #: Counters reported per scenario (all live in the run's MetricsRegistry).
 COUNTER_NAMES = (
@@ -67,104 +67,15 @@ COUNTER_NAMES = (
 )
 
 
-@dataclass
-class ScenarioOutcome:
-    """Verdict of one scenario."""
-
-    name: str
-    description: str
-    plan: FaultPlan
-    correct: bool
-    deterministic: bool
-    clean_elapsed_us: float
-    faulted_elapsed_us: float
-    fingerprint: str
-    counters: Dict[str, int]
-    detail: str = ""
-
-    @property
-    def ok(self) -> bool:
-        return self.correct and self.deterministic
-
-
-@dataclass
-class FaultsReport:
-    """All scenarios of one ``repro faults`` invocation."""
-
-    seed: int
-    fast: bool
-    scenarios: List[ScenarioOutcome]
-
-    @property
-    def ok(self) -> bool:
-        return all(scenario.ok for scenario in self.scenarios)
-
-    @property
-    def counters(self) -> Dict[str, int]:
-        merged = {name: 0 for name in COUNTER_NAMES}
-        for scenario in self.scenarios:
-            for name, value in scenario.counters.items():
-                merged[name] = merged.get(name, 0) + value
-        return merged
-
-    def as_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "fast": self.fast,
-            "ok": self.ok,
-            "counters": self.counters,
-            "scenarios": [{
-                "name": s.name,
-                "description": s.description,
-                "plan": s.plan.describe(),
-                "ok": s.ok,
-                "correct": s.correct,
-                "deterministic": s.deterministic,
-                "clean_elapsed_us": s.clean_elapsed_us,
-                "faulted_elapsed_us": s.faulted_elapsed_us,
-                "fingerprint": s.fingerprint,
-                "counters": s.counters,
-                "detail": s.detail,
-            } for s in self.scenarios],
-        }
-
-    def render(self) -> str:
-        lines = [f"Fault injection & recovery report (seed {self.seed})",
-                 "=" * 52]
-        for s in self.scenarios:
-            verdict = "PASS" if s.ok else "FAIL"
-            lines.append("")
-            lines.append(f"[{verdict}] {s.name}: {s.description}")
-            lines.append(f"  plan: {s.plan.describe()}")
-            lines.append(
-                f"  clean {s.clean_elapsed_us / 1000:.1f} ms -> faulted "
-                f"{s.faulted_elapsed_us / 1000:.1f} ms "
-                f"({s.faulted_elapsed_us / max(s.clean_elapsed_us, 1e-9):.2f}x)")
-            lines.append(f"  correct: {s.correct}   "
-                         f"deterministic: {s.deterministic}")
-            if s.detail:
-                lines.append(f"  {s.detail}")
-            hot = {name: value for name, value in s.counters.items()
-                   if value}
-            lines.append("  counters: " + (", ".join(
-                f"{name}={value}" for name, value in sorted(hot.items()))
-                or "(none)"))
-        lines.append("")
-        lines.append("totals: " + ", ".join(
-            f"{name}={value}"
-            for name, value in sorted(self.counters.items()) if value))
-        lines.append(f"overall: {'PASS' if self.ok else 'FAIL'}")
-        return "\n".join(lines)
-
-
-def run_fault_scenarios(seed: int = 0, fast: bool = False) -> FaultsReport:
+def run_fault_scenarios(seed: int = 0, fast: bool = False) -> Report:
     """Run every scenario under ``seed`` and collect the verdicts."""
-    scenarios = [
-        _run_sor(seed, fast),
-        _run_queens(seed, fast),
-        _run_mobility(seed),
+    outcomes = [
+        guarded("sor", lambda: _run_sor(seed, fast)),
+        guarded("queens", lambda: _run_queens(seed, fast)),
+        guarded("mobility", lambda: _run_mobility(seed)),
     ]
-    return FaultsReport(seed=seed, fast=fast, scenarios=scenarios)
+    return Report("Fault injection & recovery report", outcomes,
+                  seed=seed, fast=fast, counter_names=COUNTER_NAMES)
 
 
 # ----------------------------------------------------------------------
@@ -198,6 +109,15 @@ def _counters(result) -> Dict[str, int]:
     return {name: metrics.counter(name).value for name in COUNTER_NAMES}
 
 
+def _fault_details(plan: FaultPlan, clean_elapsed_us: float,
+                   faulted_elapsed_us: float) -> List[str]:
+    """The plan and the clean->faulted simulated time, for the report."""
+    slowdown = faulted_elapsed_us / max(clean_elapsed_us, 1e-9)
+    return [f"plan: {plan.describe()}",
+            f"clean {clean_elapsed_us / 1000:.1f} ms -> faulted "
+            f"{faulted_elapsed_us / 1000:.1f} ms ({slowdown:.2f}x)"]
+
+
 def _fingerprint(*parts) -> str:
     digest = hashlib.sha256()
     for part in parts:
@@ -206,7 +126,7 @@ def _fingerprint(*parts) -> str:
     return digest.hexdigest()[:16]
 
 
-def _run_sor(seed: int, fast: bool) -> ScenarioOutcome:
+def _run_sor(seed: int, fast: bool) -> Outcome:
     import numpy as np
 
     from repro.apps.sor import SorProblem, run_amber_sor
@@ -227,23 +147,18 @@ def _run_sor(seed: int, fast: bool) -> ScenarioOutcome:
                        sorted(_counters(first).items()))
     fp2 = _fingerprint(second.elapsed_us, second.grid.tobytes(),
                        sorted(_counters(second).items()))
-    return ScenarioOutcome(
-        name="sor",
-        description=(f"Red/Black SOR {problem.rows}x{problem.cols}, "
-                     f"{problem.iterations} iterations on "
-                     f"{nodes}Nx{cpus}P"),
-        plan=plan,
-        correct=correct,
-        deterministic=fp1 == fp2,
-        clean_elapsed_us=clean.elapsed_us,
-        faulted_elapsed_us=first.elapsed_us,
-        fingerprint=fp1,
-        counters=_counters(first),
-        detail="grid bit-identical to clean run" if correct
-        else "grid DIVERGED from clean run")
+    return verdict(
+        "sor",
+        (f"Red/Black SOR {problem.rows}x{problem.cols}, "
+         f"{problem.iterations} iterations on {nodes}Nx{cpus}P"),
+        correct, fp1 == fp2,
+        [*_fault_details(plan, clean.elapsed_us, first.elapsed_us),
+         "grid bit-identical to clean run" if correct
+         else "grid DIVERGED from clean run"],
+        fingerprint=fp1, counters=_counters(first))
 
 
-def _run_queens(seed: int, fast: bool) -> ScenarioOutcome:
+def _run_queens(seed: int, fast: bool) -> Outcome:
     from repro.apps.queens import KNOWN_SOLUTIONS, run_amber_queens
 
     n = 7 if fast else 8
@@ -263,21 +178,15 @@ def _run_queens(seed: int, fast: bool) -> ScenarioOutcome:
     fp2 = _fingerprint(second.elapsed_us, second.solutions,
                        second.nodes_visited,
                        sorted(_counters(second).items()))
-    return ScenarioOutcome(
-        name="queens",
-        description=f"{n}-Queens work pool on {nodes}Nx{cpus}P",
-        plan=plan,
-        correct=correct,
-        deterministic=fp1 == fp2,
-        clean_elapsed_us=clean.elapsed_us,
-        faulted_elapsed_us=first.elapsed_us,
-        fingerprint=fp1,
-        counters=_counters(first),
-        detail=f"{first.solutions} solutions "
-               f"(expected {KNOWN_SOLUTIONS[n]})")
+    return verdict(
+        "queens", f"{n}-Queens work pool on {nodes}Nx{cpus}P",
+        correct, fp1 == fp2,
+        [*_fault_details(plan, clean.elapsed_us, first.elapsed_us),
+         f"{first.solutions} solutions (expected {KNOWN_SOLUTIONS[n]})"],
+        fingerprint=fp1, counters=_counters(first))
 
 
-def _run_mobility(seed: int) -> ScenarioOutcome:
+def _run_mobility(seed: int) -> Outcome:
     plan = FaultPlan(
         seed=seed,
         drop_rate=0.02,
@@ -298,19 +207,17 @@ def _run_mobility(seed: int) -> ScenarioOutcome:
                and c1["home_fallbacks"] >= 1)
     fp1 = _fingerprint(v1, w1, sorted(c1.items()))
     fp2 = _fingerprint(v2, w2, sorted(c2.items()))
-    return ScenarioOutcome(
-        name="mobility",
-        description=("stale hint to a permanently dead node; client "
-                     "recovers via the home node"),
-        plan=plan,
-        correct=correct,
-        deterministic=fp1 == fp2,
-        clean_elapsed_us=clean_counters["_elapsed_us"],
-        faulted_elapsed_us=c1.pop("_elapsed_us"),
-        fingerprint=fp1,
-        counters=c1,
-        detail=(f"invoke answered {v1} from node {w1} with "
-                f"{c1['home_fallbacks']} home fallback(s)"))
+    faulted_elapsed_us = c1.pop("_elapsed_us")
+    return verdict(
+        "mobility",
+        ("stale hint to a permanently dead node; client recovers via "
+         "the home node"),
+        correct, fp1 == fp2,
+        [*_fault_details(plan, clean_counters["_elapsed_us"],
+                         faulted_elapsed_us),
+         (f"invoke answered {v1} from node {w1} with "
+          f"{c1['home_fallbacks']} home fallback(s)")],
+        fingerprint=fp1, counters=c1)
 
 
 def _mobility_run(faults) -> Tuple[int, int, Dict[str, int]]:

@@ -37,27 +37,28 @@ from repro.errors import NodeFailure
 from repro.faults.plan import FaultPlan, NodeCrash
 from repro.faults.scenario import (
     COUNTER_NAMES,
-    FaultsReport,
-    ScenarioOutcome,
     _counters,
+    _fault_details,
     _fingerprint,
 )
 from repro.recovery.config import RecoveryConfig
 from repro.recovery.workloads import run_recovery_queens, run_recovery_sor
+from repro.suite import Outcome, Report, guarded, verdict
 
 #: The node that dies in every scenario — it hosts stripe/tally 0.
 CRASH_NODE = 1
 
 
-def run_recovery_scenarios(seed: int = 0,
-                           fast: bool = False) -> FaultsReport:
+def run_recovery_scenarios(seed: int = 0, fast: bool = False) -> Report:
     """Run every recovery scenario under ``seed``."""
-    scenarios = [
-        _run_sor_recover(seed, fast),
-        _run_queens_recover(seed, fast),
-        _run_sor_unrecoverable(seed, fast),
+    outcomes = [
+        guarded("sor-recover", lambda: _run_sor_recover(seed, fast)),
+        guarded("queens-recover", lambda: _run_queens_recover(seed, fast)),
+        guarded("sor-unrecoverable",
+                lambda: _run_sor_unrecoverable(seed, fast)),
     ]
-    return FaultsReport(seed=seed, fast=fast, scenarios=scenarios)
+    return Report("Crash-recovery report", outcomes, seed=seed,
+                  fast=fast, counter_names=COUNTER_NAMES)
 
 
 def _recover_plan(seed: int, clean_elapsed_us: float) -> FaultPlan:
@@ -91,7 +92,7 @@ def _recovered(counters) -> bool:
             and counters["objects_lost"] == 0)
 
 
-def _run_sor_recover(seed: int, fast: bool) -> ScenarioOutcome:
+def _run_sor_recover(seed: int, fast: bool) -> Outcome:
     problem = _sor_problem(fast)
     nodes, cpus = 3, 2
 
@@ -110,25 +111,21 @@ def _run_sor_recover(seed: int, fast: bool) -> ScenarioOutcome:
                        sorted(c1.items()))
     fp2 = _fingerprint(second.elapsed_us, second.grid.tobytes(),
                        sorted(_counters(second).items()))
-    return ScenarioOutcome(
-        name="sor-recover",
-        description=(f"striped SOR {problem.rows}x{problem.cols}, node "
-                     f"{CRASH_NODE} dies for good holding a live stripe"),
-        plan=plan,
-        correct=correct,
-        deterministic=fp1 == fp2,
-        clean_elapsed_us=clean.elapsed_us,
-        faulted_elapsed_us=first.elapsed_us,
-        fingerprint=fp1,
-        counters=c1,
-        detail=(f"{c1['objects_recovered']} object(s) promoted, "
-                f"{c1['invocations_replayed']} invocation(s) replayed; "
-                + ("grid bit-identical to clean run"
-                   if np.array_equal(clean.grid, first.grid)
-                   else "grid DIVERGED from clean run")))
+    return verdict(
+        "sor-recover",
+        (f"striped SOR {problem.rows}x{problem.cols}, node {CRASH_NODE} "
+         f"dies for good holding a live stripe"),
+        correct, fp1 == fp2,
+        [*_fault_details(plan, clean.elapsed_us, first.elapsed_us),
+         (f"{c1['objects_recovered']} object(s) promoted, "
+          f"{c1['invocations_replayed']} invocation(s) replayed; "
+          + ("grid bit-identical to clean run"
+             if np.array_equal(clean.grid, first.grid)
+             else "grid DIVERGED from clean run"))],
+        fingerprint=fp1, counters=c1)
 
 
-def _run_queens_recover(seed: int, fast: bool) -> ScenarioOutcome:
+def _run_queens_recover(seed: int, fast: bool) -> Outcome:
     n = 7 if fast else 8
     nodes, cpus = 3, 2
 
@@ -149,24 +146,20 @@ def _run_queens_recover(seed: int, fast: bool) -> ScenarioOutcome:
     fp2 = _fingerprint(second.elapsed_us, second.solutions,
                        second.visited, second.tally_totals,
                        sorted(_counters(second).items()))
-    return ScenarioOutcome(
-        name="queens-recover",
-        description=(f"{n}-Queens tallies, node {CRASH_NODE} dies for "
-                     f"good holding live counters (at-most-once check)"),
-        plan=plan,
-        correct=correct,
-        deterministic=fp1 == fp2,
-        clean_elapsed_us=clean.elapsed_us,
-        faulted_elapsed_us=first.elapsed_us,
-        fingerprint=fp1,
-        counters=c1,
-        detail=(f"{first.solutions} solutions, "
-                f"{sum(t[2] for t in first.tally_totals)} tally calls "
-                f"for {first.work_units} work units, "
-                f"{c1['invocations_replayed']} replayed"))
+    return verdict(
+        "queens-recover",
+        (f"{n}-Queens tallies, node {CRASH_NODE} dies for good holding "
+         f"live counters (at-most-once check)"),
+        correct, fp1 == fp2,
+        [*_fault_details(plan, clean.elapsed_us, first.elapsed_us),
+         (f"{first.solutions} solutions, "
+          f"{sum(t[2] for t in first.tally_totals)} tally calls "
+          f"for {first.work_units} work units, "
+          f"{c1['invocations_replayed']} replayed")],
+        fingerprint=fp1, counters=c1)
 
 
-def _run_sor_unrecoverable(seed: int, fast: bool) -> ScenarioOutcome:
+def _run_sor_unrecoverable(seed: int, fast: bool) -> Outcome:
     problem = _sor_problem(fast)
     nodes, cpus = 3, 2
 
@@ -190,15 +183,11 @@ def _run_sor_unrecoverable(seed: int, fast: bool) -> ScenarioOutcome:
     fp1 = _fingerprint(kind1, message1)
     fp2 = _fingerprint(kind2, message2)
     zeros = {name: 0 for name in COUNTER_NAMES}
-    return ScenarioOutcome(
-        name="sor-unrecoverable",
-        description=("the same crash with checkpointing disabled: the "
-                     "run must fail fast with a typed NodeFailure"),
-        plan=plan,
-        correct=correct,
-        deterministic=fp1 == fp2,
-        clean_elapsed_us=clean.elapsed_us,
-        faulted_elapsed_us=0.0,
-        fingerprint=fp1,
-        counters=zeros,
-        detail=f"{kind1}: {message1}" if kind1 else message1)
+    return verdict(
+        "sor-unrecoverable",
+        ("the same crash with checkpointing disabled: the run must fail "
+         "fast with a typed NodeFailure"),
+        correct, fp1 == fp2,
+        [*_fault_details(plan, clean.elapsed_us, 0.0),
+         f"{kind1}: {message1}" if kind1 else message1],
+        fingerprint=fp1, counters=zeros)

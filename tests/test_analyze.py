@@ -196,7 +196,7 @@ class TestScenarios:
     def test_all_scenarios_pass(self):
         report = run_analysis_scenarios(seed=0, fast=True)
         assert report.ok, report.render()
-        names = [s.name for s in report.scenarios]
+        names = [o.name for o in report.outcomes]
         assert "racy-counter" in names
         assert "timing-neutral" in names
 
@@ -205,8 +205,8 @@ class TestScenarios:
         report = run_analysis_scenarios(seed=0, fast=True)
         payload = json.loads(json.dumps(report.as_dict()))
         assert payload["ok"] is True
-        racy = next(s for s in payload["scenarios"]
-                    if s["name"] == "racy-counter")
+        racy = next(o for o in payload["outcomes"]
+                    if o["name"] == "racy-counter")
         assert any("AMBSAN-RACE" in sig for sig in racy["signatures"])
 
 

@@ -183,6 +183,6 @@ class TestCheckCli:
                      "--json", str(path)]) == 0
         payload = json.loads(path.read_text())
         assert payload["ok"] is True
-        names = {s["name"] for s in payload["scenarios"]}
+        names = {o["name"] for o in payload["outcomes"]}
         assert {"hidden-race", "hidden-deadlock",
                 "dpor-vs-exhaustive"} <= names

@@ -71,3 +71,33 @@ class TestTraceProfileCli:
             main(["trace", "nosuch"])
         with pytest.raises(SystemExit):
             main(["profile"])
+
+
+class TestSuiteCli:
+    @pytest.mark.parametrize("argv", [
+        ["elide"],
+        ["analyze", "--fast"],
+        ["flow", "--fast"],
+        ["faults", "--fast"],
+    ])
+    def test_suite_json_shape(self, argv, capsys, tmp_path):
+        path = tmp_path / "report.json"
+        assert main(argv + ["--json", str(path)]) == 0
+        report = json.loads(path.read_text())
+        assert report["ok"] is True
+        assert isinstance(report["counters"], dict)
+        assert report["outcomes"]
+        for outcome in report["outcomes"]:
+            assert isinstance(outcome["name"], str)
+            assert outcome["ok"] is True
+            assert isinstance(outcome["details"], list)
+        out = capsys.readouterr().out
+        passed = len(report["outcomes"])
+        assert f"overall: PASS ({passed}/{passed} scenarios)" in out
+
+    def test_check_fixture_rejects_metrics_json(self, capsys, tmp_path):
+        path = tmp_path / "metrics.json"
+        assert main(["check", "--fixture", "hidden-race",
+                     "--metrics-json", str(path)]) == 2
+        assert "--metrics-json" in capsys.readouterr().err
+        assert not path.exists()

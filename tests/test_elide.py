@@ -81,13 +81,12 @@ class TestDeterminism:
             "from repro.analyze.elide.diagnostics import diagnose\n"
             "from repro.analyze.elide.fixtures import FIXTURES\n"
             "from repro.analyze.elide.model import classify_sources\n"
-            "from repro.analyze.elide.scenario import findings_payload\n"
             "for fx in FIXTURES.values():\n"
             "    model = classify_sources(fx.sources())\n"
             "    findings = diagnose(model, fx.sources())\n"
             "    sys.stdout.write(json.dumps(\n"
             "        {'classification': model.as_dict(),\n"
-            "         'findings': findings_payload(findings)},\n"
+            "         'findings': [f.as_dict() for f in findings]},\n"
             "        sort_keys=True) + '\\n')\n")
         outs = [_run_fresh(script, seed) for seed in ("0", "1")]
         assert outs[0] == outs[1]

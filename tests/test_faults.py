@@ -310,7 +310,7 @@ class TestScenarios:
 
         report = run_fault_scenarios(seed=5, fast=True)
         assert report.ok
-        names = [s.name for s in report.scenarios]
+        names = [o.name for o in report.outcomes]
         assert names == ["sor", "queens", "mobility"]
         totals = report.counters
         assert totals["faults_injected"] > 0
@@ -320,4 +320,29 @@ class TestScenarios:
         rendered = report.render()
         assert "overall: PASS" in rendered
         as_dict = report.as_dict()
-        assert as_dict["ok"] and len(as_dict["scenarios"]) == 3
+        assert as_dict["ok"] and len(as_dict["outcomes"]) == 3
+
+    def test_crashing_scenario_fails_without_killing_the_suite(
+            self, monkeypatch, tmp_path, capsys):
+        import json
+
+        from repro.cli import main
+        from repro.faults import scenario
+
+        def boom(seed):
+            raise RuntimeError("scenario exploded")
+
+        monkeypatch.setattr(scenario, "_run_mobility", boom)
+        report = scenario.run_fault_scenarios(seed=0, fast=True)
+        verdicts = {o.name: o.ok for o in report.outcomes}
+        assert verdicts == {"sor": True, "queens": True,
+                            "mobility": False}
+        crashed = report.outcomes[2]
+        assert "crashed: RuntimeError: scenario exploded" in crashed.details
+        assert "[FAIL] mobility" in report.render()
+
+        path = tmp_path / "faults.json"
+        assert main(["faults", "--fast", "--json", str(path)]) == 1
+        payload = json.loads(path.read_text())
+        assert [(o["name"], o["ok"]) for o in payload["outcomes"]] == [
+            ("sor", True), ("queens", True), ("mobility", False)]
