@@ -79,16 +79,6 @@ def make_grid(problem: SorProblem) -> np.ndarray:
     return grid
 
 
-def color_mask(rows: int, cols: int, color: int,
-               row0: int = 0, col0: int = 0) -> np.ndarray:
-    """Boolean mask of the points of ``color`` within a ``rows x cols``
-    block whose top-left interior point has global coordinates
-    ``(row0, col0)``."""
-    r = np.arange(rows).reshape(-1, 1) + row0
-    c = np.arange(cols).reshape(1, -1) + col0
-    return ((r + c) % 2) == color
-
-
 def count_color_points(rows: int, cols: int, color: int,
                        row0: int = 0, col0: int = 0) -> int:
     """Number of points of ``color`` in the block — the per-phase compute
@@ -114,26 +104,40 @@ def sweep_color(grid: np.ndarray, omega: float, color: int,
     ``row0``/``col0`` etc. are *array* indices (1 = first interior line).
     ``global_row0``/``global_col0`` are the global interior coordinates of
     array position (1, 1), so parities line up across partitions.
+
+    The points of one color form two strided sub-lattices: the block's
+    even rows (``row0, row0+2, ...``) and its odd rows (``row0+1, ...``).
+    Within each, the first column of the color follows from the global
+    parity of that row and ``col0``, and every second column after it
+    has the same color.  Each sub-lattice is updated through
+    ``grid[r:row1:2, c:col1:2]`` and its four strided neighbor views, so
+    only the color's own points are computed; each one gets the same
+    float32 operation sequence on the same inputs as a full-block update.
     """
     if row1 is None:
         row1 = grid.shape[0] - 1
     if col1 is None:
         col1 = grid.shape[1] - 1
-    if row1 <= row0 or col1 <= col0:
-        return 0.0
-    block = grid[row0:row1, col0:col1]
-    mask = color_mask(row1 - row0, col1 - col0, color,
-                      global_row0 + row0 - 1, global_col0 + col0 - 1)
-    neighbors = (grid[row0 - 1:row1 - 1, col0:col1]
-                 + grid[row0 + 1:row1 + 1, col0:col1]
-                 + grid[row0:row1, col0 - 1:col1 - 1]
-                 + grid[row0:row1, col0 + 1:col1 + 1])
-    updated = block + np.float32(omega) * (
-        np.float32(0.25) * neighbors - block)
-    delta = np.abs(updated - block, dtype=np.float32)
-    block[mask] = updated[mask]
-    masked = delta[mask]
-    return float(masked.max()) if masked.size else 0.0
+    w = np.float32(omega)
+    quarter = np.float32(0.25)
+    delta = 0.0
+    parity = global_row0 + global_col0 + col0 - 2 + color
+    for r in (row0, row0 + 1):
+        c = col0 + (parity + r) % 2
+        if r >= row1 or c >= col1:
+            continue
+        block = grid[r:row1:2, c:col1:2]
+        neighbors = (grid[r - 1:row1 - 1:2, c:col1:2]
+                     + grid[r + 1:row1 + 1:2, c:col1:2]
+                     + grid[r:row1:2, c - 1:col1 - 1:2]
+                     + grid[r:row1:2, c + 1:col1 + 1:2])
+        updated = block + w * (quarter * neighbors - block)
+        change = float(np.abs(updated - block, dtype=np.float32).max())
+        # A NaN change propagates, as it does through ndarray.max.
+        if change > delta or change != change:
+            delta = change
+        block[...] = updated
+    return delta
 
 
 def sor_iterate(grid: np.ndarray, omega: float) -> float:

@@ -26,6 +26,10 @@ from typing import Dict, Iterable, List, Optional
 
 #: Geometric bucket growth factor: 4 buckets per decade (~12% resolution).
 _BUCKET_BASE = 10 ** 0.25
+#: ``math.log(x, _BUCKET_BASE)`` is computed by CPython as exactly
+#: ``math.log(x) / math.log(_BUCKET_BASE)``; hoisting the divisor keeps
+#: every bucket index bit-identical.
+_LOG_BASE = math.log(_BUCKET_BASE)
 
 
 class Counter:
@@ -102,7 +106,7 @@ class LatencyHistogram:
     def _index(value: float) -> int:
         if value <= 0:
             return LatencyHistogram._ZERO_BUCKET
-        return math.ceil(math.log(value, _BUCKET_BASE))
+        return math.ceil(math.log(value) / _LOG_BASE)
 
     @staticmethod
     def _upper_bound(index: int) -> float:
@@ -117,8 +121,10 @@ class LatencyHistogram:
                 f"histogram {self.name} got negative value {value}")
         self.count += 1
         self.sum += value
-        self.min = min(self.min, value)
-        self.max = max(self.max, value)
+        if value < self.min:
+            self.min = value
+        if value > self.max:
+            self.max = value
         index = self._index(value)
         self.buckets[index] = self.buckets.get(index, 0) + 1
 

@@ -3,6 +3,7 @@ trace sinks, the Chrome/Perfetto exporter, and the profile analyzer."""
 
 import json
 import math
+import random
 
 import pytest
 
@@ -119,6 +120,24 @@ class TestLatencyHistogram:
         assert a.min == 1.0
         assert a.max == 2000.0
         assert a.percentile(99) == 2000.0
+
+    def test_bucket_index_matches_two_argument_log(self):
+        # The index divides by a precomputed log of the base; it must
+        # agree with math.log(value, base) everywhere, bucket edges first.
+        def two_argument_index(value):
+            return math.ceil(math.log(value, _BUCKET_BASE))
+
+        rng = random.Random(0)
+        values = [_BUCKET_BASE ** k for k in range(-80, 81)]
+        values += [10.0 ** k for k in range(-12, 13)]
+        values += [math.nextafter(v, d) for v in list(values)
+                   for d in (0.0, math.inf)]
+        values += [rng.uniform(0.0, 1e6) for _ in range(5000)]
+        values += [math.exp(rng.uniform(-30.0, 30.0)) for _ in range(5000)]
+        for value in values:
+            if value > 0:
+                assert LatencyHistogram._index(value) == \
+                    two_argument_index(value), value
 
     def test_summary_has_quantile_keys(self):
         histogram = LatencyHistogram("lat")

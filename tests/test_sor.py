@@ -5,10 +5,13 @@ identical* grids to the sequential baseline for any partitioning, because
 same-color points never read each other within a phase.
 """
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from repro.apps.sor import (
     SorProblem,
@@ -21,7 +24,6 @@ from repro.apps.sor.amber_sor import default_sections
 from repro.apps.sor.grid import (
     BLACK,
     RED,
-    color_mask,
     count_color_points,
     residual,
     sor_iterate,
@@ -29,6 +31,118 @@ from repro.apps.sor.grid import (
 from repro.apps.sor.sequential import sequential_time_us
 
 SMALL = SorProblem(rows=10, cols=36, iterations=6)
+
+
+def color_mask(rows: int, cols: int, color: int,
+               row0: int = 0, col0: int = 0) -> np.ndarray:
+    """Boolean mask of the points of ``color`` within a ``rows x cols``
+    block whose top-left interior point has global coordinates
+    ``(row0, col0)``."""
+    r = np.arange(rows).reshape(-1, 1) + row0
+    c = np.arange(cols).reshape(1, -1) + col0
+    return ((r + c) % 2) == color
+
+
+def _mask_sweep_reference(grid: np.ndarray, omega: float, color: int,
+                          row0: int = 1, row1: int = None,
+                          col0: int = 1, col1: int = None,
+                          global_row0: int = 0,
+                          global_col0: int = 0) -> float:
+    """The mask-based sweep: stencil over the whole block, one color
+    written back through a boolean mask.  The oracle for the strided
+    ``sweep_color``."""
+    if row1 is None:
+        row1 = grid.shape[0] - 1
+    if col1 is None:
+        col1 = grid.shape[1] - 1
+    if row1 <= row0 or col1 <= col0:
+        return 0.0
+    block = grid[row0:row1, col0:col1]
+    mask = color_mask(row1 - row0, col1 - col0, color,
+                      global_row0 + row0 - 1, global_col0 + col0 - 1)
+    neighbors = (grid[row0 - 1:row1 - 1, col0:col1]
+                 + grid[row0 + 1:row1 + 1, col0:col1]
+                 + grid[row0:row1, col0 - 1:col1 - 1]
+                 + grid[row0:row1, col0 + 1:col1 + 1])
+    updated = block + np.float32(omega) * (
+        np.float32(0.25) * neighbors - block)
+    delta = np.abs(updated - block, dtype=np.float32)
+    block[mask] = updated[mask]
+    masked = delta[mask]
+    return float(masked.max()) if masked.size else 0.0
+
+
+@st.composite
+def _sweep_cases(draw):
+    """A random float32 grid plus an in-bounds (possibly empty, one-row
+    or one-column) block, global offsets and a color."""
+    shape = (draw(st.integers(3, 12)), draw(st.integers(3, 16)))
+    grid = draw(hnp.arrays(np.float32, shape, elements=st.floats(
+        -1e4, 1e4, width=32)))
+    row0 = draw(st.integers(1, shape[0] - 1))
+    col0 = draw(st.integers(1, shape[1] - 1))
+    row1 = draw(st.none() | st.integers(1, shape[0] - 1))
+    col1 = draw(st.none() | st.integers(1, shape[1] - 1))
+    kwargs = dict(row0=row0, row1=row1, col0=col0, col1=col1,
+                  global_row0=draw(st.integers(0, 5)),
+                  global_col0=draw(st.integers(0, 5)))
+    omega = draw(st.floats(0.1, 1.99))
+    return grid, omega, draw(st.sampled_from([BLACK, RED])), kwargs
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_sweep_cases())
+def test_strided_sweep_matches_mask_reference(case):
+    grid, omega, color, kwargs = case
+    expected_grid = grid.copy()
+    expected = _mask_sweep_reference(expected_grid, omega, color, **kwargs)
+    got = sweep_color(grid, omega, color, **kwargs)
+    assert got == expected
+    assert np.array_equal(grid.view(np.uint32),
+                          expected_grid.view(np.uint32))
+
+
+def test_strided_sweep_propagates_nan_like_reference():
+    grid = make_grid(SMALL)
+    grid[3, 5] = np.nan   # global (2, 4): a black point
+    expected_grid = grid.copy()
+    expected = _mask_sweep_reference(expected_grid, SMALL.omega, BLACK)
+    got = sweep_color(grid, SMALL.omega, BLACK)
+    assert np.isnan(expected) and np.isnan(got)
+    assert np.array_equal(grid.view(np.uint32),
+                          expected_grid.view(np.uint32))
+
+
+def _digest(grid: np.ndarray) -> str:
+    return hashlib.sha256(grid.tobytes()).hexdigest()
+
+
+#: SHA-256 of final grids computed by the mask-based sweep.  Every SOR
+#: path shares ``sweep_color``, so comparing implementations against each
+#: other cannot catch a wrong sweep; these fixed values can.
+PINNED_PROBLEMS = [
+    (SorProblem(rows=10, cols=36, iterations=6),
+     "075578837c0894220b40908552b2d5208a1655fb3db9fe5addcd9c380154e783"),
+    (SorProblem(rows=24, cols=48, iterations=5,
+                boundary=(100.0, 25.0, 50.0, 75.0)),
+     "4a3b0e8e43e583c300bc4610d3cf519437452e79ce601594c4ea61db6d6be82e"),
+    (SorProblem(rows=31, cols=103, iterations=4, omega=1.25,
+                boundary=(12.5, 87.25, 3.0, 61.0)),
+     "20168c2597452e4c96a6c1c45cfc670bbeeb7351ee5077dca04c25e6902c4f82"),
+]
+
+
+class TestPinnedGrids:
+    @pytest.mark.parametrize("problem,digest", PINNED_PROBLEMS,
+                             ids=["10x36", "24x48", "31x103"])
+    def test_sequential_grid_digest(self, problem, digest):
+        assert _digest(run_sequential_sor(problem).grid) == digest
+
+    def test_amber_grid_digest(self):
+        problem, digest = PINNED_PROBLEMS[-1]
+        result = run_amber_sor(problem, nodes=3, cpus_per_node=2,
+                               collect_grid=True)
+        assert _digest(result.grid) == digest
 
 
 class TestGridKernels:
